@@ -47,7 +47,7 @@ from .qnn_meas import (
     lasso_fit,
     lasso_predict,
 )
-from .qnn_var import train_qnn_u
+from .qnn_var import GRAD_METHODS, train_qnn_u
 from .statevec import expectation, forrelation, phase_state, product_state
 from .symmetry import build_pool, check_invariance_conditions
 
@@ -87,7 +87,7 @@ class ExperimentConfig:
     sweep_n: tuple = None  # fig5 only
     rounding: str = "sign"
     partner: str = "encoded"
-    grad_method: str = "fd"
+    grad_method: str = "adjoint"
 
 
 _DEFAULTS = {
@@ -171,6 +171,9 @@ def _validate_config(c: ExperimentConfig) -> None:
         raise ConfigError("epochs must be >= 1")
     if c.lr is not None and c.lr < 0:
         raise ConfigError("lr must be nonnegative")
+    if c.grad_method not in GRAD_METHODS:
+        raise ConfigError(f"unknown grad_method {c.grad_method!r}; expected "
+                          f"one of {', '.join(GRAD_METHODS)}")
 
 
 @dataclass(frozen=True)

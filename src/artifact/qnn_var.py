@@ -8,14 +8,22 @@ involutory factors T_k, so each exponential is applied exactly as
 
 with no Trotter error. Because each generator commutes with both symmetry
 representations, so does the whole circuit, and predictions are invariant
-under exchanging the two barcodes.
+under exchanging the two barcodes. Each factor of the default generators
+is a signed permutation (Pauli strings, the SWAP network), so its action
+is precomputed once per training run as T v = sign * v[src].
 
 The readout is an affine-rescaled pool-observable expectation
 y_hat = a <O> + b trained by MSE against the 0/1 class labels with Adam.
-Angle gradients come from central finite differences by default; the exact
-parameter-shift rule (each commuting factor shifted by +-pi/4) is also
-implemented and is cross-validated against finite differences in the test
+Angle gradients come from an exact adjoint sweep by default: one forward
+pass, then one backward pass that un-applies each factor (Jones & Gacon,
+arXiv:2009.02823). Central finite differences and the parameter-shift rule
+(each commuting factor shifted by +-pi/4) remain as its oracles in the test
 suite. The (a, b) gradients are analytic.
+
+The default `swap` readout commutes with every generator, so the angles
+cannot change any prediction and their gradient is identically zero: with
+it, training moves only the readout scale and offset (a, b). This is the
+limit of a unitary parametrization that the `fig3` comparison shows.
 """
 
 from __future__ import annotations
@@ -26,7 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optim import adam_init, adam_step
-from .statevec import apply_observable, expectation_batch, phase_state, product_state
+from .statevec import (
+    ObservableExpr,
+    apply_observable,
+    expectation_batch,
+    phase_state,
+    product_state,
+    signed_permutation,
+)
 from .symmetry import OperatorPool, PoolEntry, require_observable
 
 DEFAULT_GENERATORS = ("sum_y", "sum_xx", "sum_yy", "swap")
@@ -34,6 +49,7 @@ DEFAULT_LAYERS = 3
 DEFAULT_EPOCHS = 200
 DEFAULT_LR = 0.1
 FD_STEP = 1e-4
+GRAD_METHODS = ("adjoint", "fd", "shift")
 
 
 @dataclass(frozen=True)
@@ -88,54 +104,99 @@ def encode_pairs(samples, n: int) -> np.ndarray:
 
 
 def apply_exp_generator(states: np.ndarray, entry: PoolEntry, theta: float,
-                        n: int, shift_term: int = -1,
-                        shift: float = 0.0) -> np.ndarray:
+                        n: int) -> np.ndarray:
     """Apply exp(-i theta G) for G = sum of commuting involutory factors.
 
-    shift_term >= 0 adds `shift` to the angle of that single factor only
-    (the parameter-shift rule operates factor by factor).
+    Every factor goes through apply_observable: this is the reference that
+    the precomputed factors of apply_ansatz are tested against.
     """
     if not entry.exp_terms:
         raise ValueError(f"pool entry {entry.name!r} has no exponential "
                          "structure")
     v = np.asarray(states, dtype=complex)
-    for j, term in enumerate(entry.exp_terms):
-        ang = theta + (shift if j == shift_term else 0.0)
-        v = math.cos(ang) * v - 1j * math.sin(ang) * apply_observable(v, term, n)
+    for term in entry.exp_terms:
+        v = math.cos(theta) * v - 1j * math.sin(theta) * apply_observable(v, term, n)
     return v
 
 
+@dataclass(frozen=True, eq=False)
+class Factor:
+    """One involutory factor T of the circuit, applied as cos - i sin T.
+
+    param indexes its angle and term its place in the generator's
+    exp_terms. When T is a signed permutation, T v = sign * v[src] with both
+    precomputed; otherwise src is None and T goes through apply_observable.
+    """
+
+    param: int
+    term: int
+    expr: ObservableExpr
+    n: int
+    src: np.ndarray = None
+    sign: np.ndarray = None
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        if self.src is None:
+            return apply_observable(v, self.expr, self.n)
+        return v[self.src] * (self.sign if v.ndim == 1 else self.sign[:, None])
+
+
+def ansatz_factors(pool: OperatorPool, spec: AnsatzSpec) -> tuple:
+    """The circuit's factors in application order.
+
+    The layers share one (src, sign) pair per exp-term. Callers build the
+    factors once per training run rather than caching them per pool: at
+    n = 10 the terms of sum_y alone would hold 20 vectors of 2**20 indices.
+    """
+    actions = []
+    for entry in generator_entries(pool, spec):
+        if not entry.exp_terms:
+            raise ValueError(f"pool entry {entry.name!r} has no exponential "
+                             "structure")
+        actions.append([(term, signed_permutation(term, pool.n) or (None, None))
+                        for term in entry.exp_terms])
+    factors = []
+    k = 0
+    for _layer in range(spec.layers):
+        for terms in actions:
+            factors.extend(Factor(k, j, term, pool.n, src, sign)
+                           for j, (term, (src, sign)) in enumerate(terms))
+            k += 1
+    return tuple(factors)
+
+
 def apply_ansatz(states: np.ndarray, thetas: np.ndarray, pool: OperatorPool,
-                 spec: AnsatzSpec, shift_at=None) -> np.ndarray:
-    """Full layered circuit; shift_at = (param_idx, term_idx, delta) or None."""
+                 spec: AnsatzSpec, shift_at=None, factors=None) -> np.ndarray:
+    """Full layered circuit; shift_at = (param_idx, term_idx, delta) or None.
+
+    factors, from ansatz_factors(pool, spec), spares rebuilding them.
+    """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.size != spec.param_count():
         raise ValueError("theta vector length does not match the ansatz")
-    entries = generator_entries(pool, spec)
+    if factors is None:
+        factors = ansatz_factors(pool, spec)
     v = np.asarray(states, dtype=complex)
-    k = 0
-    for _layer in range(spec.layers):
-        for entry in entries:
-            if shift_at is not None and k == shift_at[0]:
-                v = apply_exp_generator(v, entry, float(thetas[k]), pool.n,
-                                        shift_term=shift_at[1],
-                                        shift=shift_at[2])
-            else:
-                v = apply_exp_generator(v, entry, float(thetas[k]), pool.n)
-            k += 1
+    for f in factors:
+        ang = float(thetas[f.param])
+        if shift_at is not None and (f.param, f.term) == shift_at[:2]:
+            ang += shift_at[2]
+        v = math.cos(ang) * v - 1j * math.sin(ang) * f.apply(v)
     return v
 
 
 def expectations(states: np.ndarray, thetas: np.ndarray, pool: OperatorPool,
                  spec: AnsatzSpec, observable: PoolEntry,
-                 shift_at=None) -> np.ndarray:
-    v = apply_ansatz(states, thetas, pool, spec, shift_at)
+                 shift_at=None, factors=None) -> np.ndarray:
+    v = apply_ansatz(states, thetas, pool, spec, shift_at, factors)
     return expectation_batch(v, observable.expr, pool.n)
 
 
 def model_eval(states: np.ndarray, params: QnnUParams, pool: OperatorPool,
-               spec: AnsatzSpec, observable: PoolEntry) -> np.ndarray:
-    h = expectations(states, params.thetas, pool, spec, observable)
+               spec: AnsatzSpec, observable: PoolEntry,
+               factors=None) -> np.ndarray:
+    h = expectations(states, params.thetas, pool, spec, observable,
+                     factors=factors)
     return params.a * h + params.b
 
 
@@ -146,7 +207,8 @@ def mse_loss(preds: np.ndarray, labels: np.ndarray) -> float:
 
 def shift_gradient_h(states: np.ndarray, thetas: np.ndarray,
                      pool: OperatorPool, spec: AnsatzSpec,
-                     observable: PoolEntry, k: int) -> np.ndarray:
+                     observable: PoolEntry, k: int,
+                     factors=None) -> np.ndarray:
     """Exact d<O>/d theta_k per sample via the parameter-shift rule.
 
     For an angle shared by L commuting involutory factors, the derivative is
@@ -157,28 +219,61 @@ def shift_gradient_h(states: np.ndarray, thetas: np.ndarray,
     total = np.zeros(states.shape[1] if states.ndim > 1 else 1)
     for j in range(len(entry.exp_terms)):
         plus = expectations(states, thetas, pool, spec, observable,
-                            shift_at=(k, j, math.pi / 4))
+                            shift_at=(k, j, math.pi / 4), factors=factors)
         minus = expectations(states, thetas, pool, spec, observable,
-                             shift_at=(k, j, -math.pi / 4))
+                             shift_at=(k, j, -math.pi / 4), factors=factors)
         total = total + (plus - minus)
     return total
+
+
+def adjoint_angle_gradient(phi: np.ndarray, lam: np.ndarray,
+                           thetas: np.ndarray, factors) -> np.ndarray:
+    """All angle gradients from one reverse sweep (arXiv:2009.02823).
+
+    phi is the circuit's output, one state per column, and lam seeds the
+    backward state with w_s O phi_s in column s; the result is the gradient
+    of sum_s w_s <phi_s|O|phi_s>. A factor U = cos - i sin T has
+    dU/dtheta = -i T U, which adds 2 Im <lam|T phi> to its angle, taken
+    where both states sit just after U; then U^dag = cos + i sin T moves
+    both back past it.
+    """
+    grad = np.zeros(np.size(thetas))
+    for f in reversed(factors):
+        ang = float(thetas[f.param])
+        c, s = math.cos(ang), math.sin(ang)
+        t_phi = f.apply(phi)
+        grad[f.param] += 2.0 * np.vdot(lam, t_phi).imag
+        phi = c * phi + 1j * s * t_phi
+        lam = c * lam + 1j * s * f.apply(lam)
+    return grad
 
 
 def loss_and_gradient(states: np.ndarray, labels: np.ndarray,
                       params: QnnUParams, pool: OperatorPool,
                       spec: AnsatzSpec, observable: PoolEntry,
-                      grad_method: str = "fd"):
-    """Returns (loss, grad_thetas, grad_a, grad_b, preds)."""
-    if grad_method not in ("fd", "shift"):
+                      grad_method: str = "adjoint", factors=None):
+    """Returns (loss, grad_thetas, grad_a, grad_b, preds).
+
+    "adjoint" costs about three circuit passes for all angles; "fd" (two
+    passes per angle) and "shift" (two per factor) are its test oracles.
+    """
+    if grad_method not in GRAD_METHODS:
         raise ValueError(f"unknown grad_method {grad_method!r}")
+    if factors is None:
+        factors = ansatz_factors(pool, spec)
     y = np.asarray(labels, dtype=float)
     M = y.size
-    h = expectations(states, params.thetas, pool, spec, observable)
+    phi = apply_ansatz(states, params.thetas, pool, spec, factors=factors)
+    h = expectation_batch(phi, observable.expr, pool.n)
     preds = params.a * h + params.b
     loss = mse_loss(preds, y)
     dz = 2.0 * (preds - y) / M  # dL/dpreds
     grad_a = float(np.dot(dz, h))
     grad_b = float(np.sum(dz))
+    if grad_method == "adjoint":
+        lam = apply_observable(phi, observable.expr, pool.n) * (params.a * dz)
+        gt = adjoint_angle_gradient(phi, lam, params.thetas, factors)
+        return loss, gt, grad_a, grad_b, preds
     gt = np.zeros_like(params.thetas)
     if grad_method == "fd":
         for k in range(gt.size):
@@ -186,15 +281,17 @@ def loss_and_gradient(states: np.ndarray, labels: np.ndarray,
             tm = params.thetas.copy()
             tp[k] += FD_STEP
             tm[k] -= FD_STEP
-            lp = mse_loss(params.a * expectations(states, tp, pool, spec,
-                                                  observable) + params.b, y)
-            lm = mse_loss(params.a * expectations(states, tm, pool, spec,
-                                                  observable) + params.b, y)
+            lp = mse_loss(params.a * expectations(
+                states, tp, pool, spec, observable, factors=factors)
+                + params.b, y)
+            lm = mse_loss(params.a * expectations(
+                states, tm, pool, spec, observable, factors=factors)
+                + params.b, y)
             gt[k] = (lp - lm) / (2.0 * FD_STEP)
     else:
         for k in range(gt.size):
             dh = shift_gradient_h(states, params.thetas, pool, spec,
-                                  observable, k)
+                                  observable, k, factors)
             gt[k] = params.a * float(np.dot(dz, dh))
     return loss, gt, grad_a, grad_b, preds
 
@@ -207,7 +304,7 @@ def accuracy(preds: np.ndarray, labels: np.ndarray) -> float:
 def train_qnn_u(train_samples, pool: OperatorPool, spec: AnsatzSpec = None,
                 observable_name: str = "swap", epochs: int = DEFAULT_EPOCHS,
                 lr: float = DEFAULT_LR, seed: int = 0,
-                grad_method: str = "fd", test_samples=None,
+                grad_method: str = "adjoint", test_samples=None,
                 record_every: int = 1) -> QnnUResult:
     """Adam training of the variational model on encoded pairs.
 
@@ -219,6 +316,7 @@ def train_qnn_u(train_samples, pool: OperatorPool, spec: AnsatzSpec = None,
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     observable = require_observable(pool, observable_name)
+    factors = ansatz_factors(pool, spec)
     rng = np.random.default_rng(seed)
     params = init_params(spec, rng)
     states = encode_pairs(train_samples, pool.n)
@@ -230,20 +328,20 @@ def train_qnn_u(train_samples, pool: OperatorPool, spec: AnsatzSpec = None,
         y_test = np.asarray([s.label for s in test_samples], dtype=float)
 
     def train_eval(p: QnnUParams):
-        preds = model_eval(states, p, pool, spec, observable)
+        preds = model_eval(states, p, pool, spec, observable, factors)
         return mse_loss(preds, y), accuracy(preds, y)
 
     def test_eval(p: QnnUParams):
         if test_states is None:
             return float("nan")
-        return accuracy(model_eval(test_states, p, pool, spec, observable),
-                        y_test)
+        return accuracy(model_eval(test_states, p, pool, spec, observable,
+                                   factors), y_test)
 
     records = [EpochRecord(0, *train_eval(params), test_eval(params))]
     opt = adam_init([params.thetas, np.float64(params.a), np.float64(params.b)])
     for epoch in range(1, epochs + 1):
         _, gt, ga, gb, _ = loss_and_gradient(states, y, params, pool, spec,
-                                             observable, grad_method)
+                                             observable, grad_method, factors)
         new = adam_step([params.thetas, np.float64(params.a),
                          np.float64(params.b)],
                         [gt, np.float64(ga), np.float64(gb)], opt, lr)

@@ -198,20 +198,49 @@ def _parity(values: np.ndarray) -> np.ndarray:
     return (np.bitwise_count(values) & 1).astype(np.int8)
 
 
+def _pauli_action(letters: str):
+    """(src, sign) with (P v)[j] = sign[j] * v[src[j]] for the string P."""
+    flip, yz, ny = _masks(letters)
+    src = np.arange(2 ** len(letters), dtype=np.int64) ^ flip
+    coef = (1j) ** ny
+    if ny % 2 == 0:
+        coef = coef.real  # keeps real states real under X/Z/even-Y strings
+    return src, coef * (1.0 - 2.0 * _parity(src & yz))
+
+
 def _apply_pauli_string(state: np.ndarray, letters: str) -> np.ndarray:
     D = state.shape[0]
     nq = len(letters)
     if D != 2 ** nq:
         raise ValueError(f"state length {D} != 2**{nq}")
-    flip, yz, ny = _masks(letters)
-    j = np.arange(D, dtype=np.int64)
-    src = j ^ flip
-    signs = 1.0 - 2.0 * _parity(src & yz)
-    coef = (1j) ** ny
-    if ny % 2 == 0:
-        coef = coef.real  # keeps real states real under X/Z/even-Y strings
-    vals = state[src] * signs.reshape((D,) + (1,) * (state.ndim - 1))
-    return coef * vals
+    src, sign = _pauli_action(letters)
+    return state[src] * sign.reshape((D,) + (1,) * (state.ndim - 1))
+
+
+def signed_permutation(expr: ObservableExpr, n: int):
+    """(src, sign) with (expr v)[j] = sign[j] * v[src[j]], or None.
+
+    It exists when every factor is a Pauli string or the SWAP network (the
+    network's sign is +1); a Pauli sum or a Walsh-Hadamard factor mixes
+    amplitudes, and then None is returned.
+    """
+    D = 4 ** n
+    src = np.arange(D, dtype=np.int64)
+    sign = np.ones(D)
+    for prim in reversed(expr.factors):
+        if isinstance(prim, PauliString):
+            if len(prim.letters) != 2 * n:
+                raise ValueError(f"Pauli string length != 2n = {2 * n}")
+            p_src, p_sign = _pauli_action(prim.letters)
+        elif isinstance(prim, SwapNetwork):
+            p_src = np.arange(D, dtype=np.int64).reshape(2 ** n, 2 ** n).T.ravel()
+            p_sign = 1.0
+        else:
+            return None
+        # (P A v)[j] = p_sign[j] * (A v)[p_src[j]]
+        sign = p_sign * sign[p_src]
+        src = src[p_src]
+    return src, sign
 
 
 def apply_primitive(state: np.ndarray, prim, n: int) -> np.ndarray:

@@ -58,6 +58,7 @@ IDENTITY_TOL = 1e-10
 FLAT_TOL = 1e-12
 ANSATZ_VS_EXPM_TOL = 1e-8
 FD_VS_SHIFT_TOL = 1e-4
+ADJOINT_VS_SHIFT_TOL = 1e-12
 SIAMESE_GRAD_REL_TOL = 1e-6
 OBJECTIVE_MONOTONE_TOL = 1e-12
 
@@ -300,19 +301,26 @@ def test_acceptance_6_numerical_cross_checks():
             k += 1
     ansatz_err = float(np.max(np.abs(U_struct - U_dense)))
 
-    # (b) finite-difference vs parameter-shift gradients on a real loss
+    # (b) finite-difference and adjoint vs parameter-shift gradients on a
+    # real loss; `swap` commutes with every generator (zero angle gradient),
+    # the other readouts do not
     train = generate_dataset(n, None, 6, seed=3)
     states = encode_pairs(train.samples, n)
     y = train.labels()
     params = init_params(AnsatzSpec(), np.random.default_rng(7))
-    obs = pool.entry("swap")
-    _, g_fd, _, _, _ = loss_and_gradient(states, y, params, pool,
-                                         AnsatzSpec(), obs,
-                                         grad_method="fd")
-    _, g_shift, _, _, _ = loss_and_gradient(states, y, params, pool,
-                                            AnsatzSpec(), obs,
-                                            grad_method="shift")
-    grad_err = float(np.max(np.abs(g_fd - g_shift)))
+    grad_err = 0.0
+    adjoint_err = 0.0
+    for name in ("swap", "sum_zz", "swap_wht"):
+        grads = {
+            method: loss_and_gradient(states, y, params, pool, AnsatzSpec(),
+                                      pool.entry(name),
+                                      grad_method=method)[1]
+            for method in ("fd", "shift", "adjoint")}
+        grad_err = max(grad_err,
+                       float(np.max(np.abs(grads["fd"] - grads["shift"]))))
+        adjoint_err = max(
+            adjoint_err,
+            float(np.max(np.abs(grads["adjoint"] - grads["shift"]))))
 
     # (c) Siamese backprop vs central finite differences (norm-relative)
     rng = np.random.default_rng(9)
@@ -356,11 +364,14 @@ def test_acceptance_6_numerical_cross_checks():
     null_ok = bool(np.all(null_fit.alpha == 0.0))
 
     ok = (ansatz_err <= ANSATZ_VS_EXPM_TOL and grad_err <= FD_VS_SHIFT_TOL
+          and adjoint_err <= ADJOINT_VS_SHIFT_TOL
           and siam_rel <= SIAMESE_GRAD_REL_TOL
           and max_rise <= OBJECTIVE_MONOTONE_TOL and null_ok)
     detail = (f"ansatz vs expm {ansatz_err:.2e} (tol "
               f"{ANSATZ_VS_EXPM_TOL:.0e}); fd vs parameter-shift "
-              f"{grad_err:.2e} (tol {FD_VS_SHIFT_TOL:.0e}); siamese "
+              f"{grad_err:.2e} (tol {FD_VS_SHIFT_TOL:.0e}); adjoint vs "
+              f"parameter-shift {adjoint_err:.2e} (tol "
+              f"{ADJOINT_VS_SHIFT_TOL:.0e}); siamese "
               f"backprop vs fd rel {siam_rel:.2e} (tol "
               f"{SIAMESE_GRAD_REL_TOL:.0e}); lasso objective max rise "
               f"{max_rise:.2e} (tol {OBJECTIVE_MONOTONE_TOL:.0e}); "

@@ -11,10 +11,12 @@ from artifact.optim import adam_init, adam_step
 from artifact.qnn_var import (
     AnsatzSpec,
     QnnUParams,
+    ansatz_factors,
     apply_ansatz,
     apply_exp_generator,
     encode_pairs,
     expectations,
+    generator_entries,
     init_params,
     loss_and_gradient,
     model_eval,
@@ -22,11 +24,22 @@ from artifact.qnn_var import (
     shift_gradient_h,
     train_qnn_u,
 )
-from artifact.statevec import dense_observable, phase_state, product_state
+from artifact.statevec import (
+    GlobalWHT,
+    apply_observable,
+    dense_observable,
+    phase_state,
+    product_state,
+)
 from artifact.symmetry import build_pool, complement_rep, exchange_rep
 
 N_CHECK = 2
 POOL2 = build_pool(N_CHECK)
+POOL4 = build_pool(4)
+# the default readout commutes with every generator (zero angle gradient);
+# the other two do not, so the gradient oracles compare nonzero values
+READOUTS = ("swap", "sum_zz", "swap_wht")
+ALL_GENERATORS = tuple(e.name for e in POOL2.entries if e.usable_as_generator)
 
 
 def random_state(rng, dim):
@@ -109,6 +122,43 @@ def test_ansatz_commutes_with_symmetry_reps():
         np.testing.assert_allclose(a, b, atol=1e-8)
 
 
+@pytest.mark.parametrize("pool", [POOL2, POOL4], ids=["n2", "n4"])
+def test_precomputed_factors_match_apply_observable(pool):
+    rng = np.random.default_rng(11)
+    D = 4 ** pool.n
+    spec = AnsatzSpec(layers=1, generator_names=ALL_GENERATORS)
+    v = rng.standard_normal((D, 3)) + 1j * rng.standard_normal((D, 3))
+    factors = ansatz_factors(pool, spec)
+    assert len(factors) == sum(len(e.exp_terms)
+                               for e in generator_entries(pool, spec))
+    for f in factors:
+        mixes = any(isinstance(p, GlobalWHT) for p in f.expr.factors)
+        # every default generator term is a precomputed signed permutation
+        assert (f.src is None) == mixes, f.expr.name
+        np.testing.assert_array_equal(f.apply(v),
+                                      apply_observable(v, f.expr, pool.n))
+        np.testing.assert_array_equal(f.apply(v[:, 1]),
+                                      apply_observable(v[:, 1], f.expr, pool.n))
+
+
+@pytest.mark.parametrize("pool", [POOL2, POOL4], ids=["n2", "n4"])
+def test_ansatz_forward_matches_reference_exponentials(pool):
+    rng = np.random.default_rng(12)
+    D = 4 ** pool.n
+    for names in (AnsatzSpec().generator_names, ALL_GENERATORS):
+        spec = AnsatzSpec(layers=2, generator_names=names)
+        thetas = rng.uniform(-1.5, 1.5, spec.param_count())
+        states = rng.standard_normal((D, 4)) + 1j * rng.standard_normal((D, 4))
+        ref = states
+        k = 0
+        for _ in range(spec.layers):
+            for entry in generator_entries(pool, spec):
+                ref = apply_exp_generator(ref, entry, thetas[k], pool.n)
+                k += 1
+        np.testing.assert_array_equal(
+            apply_ansatz(states, thetas, pool, spec), ref)
+
+
 def test_ansatz_rejects_wrong_theta_count():
     with pytest.raises(ValueError, match="theta vector"):
         apply_ansatz(np.ones(16, dtype=complex) / 4.0, np.zeros(3), POOL2,
@@ -123,16 +173,21 @@ def test_parameter_shift_matches_finite_differences():
     spec = AnsatzSpec(layers=1)
     thetas = rng.uniform(-0.5, 0.5, spec.param_count())
     states = np.stack([random_state(rng, 16) for _ in range(3)], axis=1)
-    obs = POOL2.entry("swap")
     h = 1e-5
-    for k in range(spec.param_count()):
-        shift = shift_gradient_h(states, thetas, POOL2, spec, obs, k)
-        tp, tm = thetas.copy(), thetas.copy()
-        tp[k] += h
-        tm[k] -= h
-        fd = (expectations(states, tp, POOL2, spec, obs)
-              - expectations(states, tm, POOL2, spec, obs)) / (2 * h)
-        np.testing.assert_allclose(shift, fd, atol=1e-4)
+    for name in READOUTS:
+        obs = POOL2.entry(name)
+        shifts = []
+        for k in range(spec.param_count()):
+            shift = shift_gradient_h(states, thetas, POOL2, spec, obs, k)
+            tp, tm = thetas.copy(), thetas.copy()
+            tp[k] += h
+            tm[k] -= h
+            fd = (expectations(states, tp, POOL2, spec, obs)
+                  - expectations(states, tm, POOL2, spec, obs)) / (2 * h)
+            np.testing.assert_allclose(shift, fd, atol=1e-4)
+            shifts.append(shift)
+        if name != "swap":
+            assert np.max(np.abs(shifts)) > 1e-2, name
 
 
 def test_loss_gradient_methods_agree():
@@ -142,14 +197,53 @@ def test_loss_gradient_methods_agree():
     y = ds.labels().astype(float)
     spec = AnsatzSpec(layers=2)
     params = QnnUParams(rng.uniform(-0.5, 0.5, spec.param_count()), 1.3, -0.2)
+    for name in READOUTS:
+        obs = POOL2.entry(name)
+        l_fd, gt_fd, ga_fd, gb_fd, _ = loss_and_gradient(
+            states, y, params, POOL2, spec, obs, "fd")
+        l_sh, gt_sh, ga_sh, gb_sh, _ = loss_and_gradient(
+            states, y, params, POOL2, spec, obs, "shift")
+        l_ad, gt_ad, ga_ad, gb_ad, _ = loss_and_gradient(
+            states, y, params, POOL2, spec, obs, "adjoint")
+        assert l_fd == l_sh == l_ad
+        np.testing.assert_allclose(gt_fd, gt_sh, atol=1e-4)
+        np.testing.assert_allclose(gt_ad, gt_sh, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gt_ad, gt_fd, rtol=0, atol=1e-6)
+        assert ga_fd == ga_sh == ga_ad and gb_fd == gb_sh == gb_ad
+        if name != "swap":
+            assert np.max(np.abs(gt_ad)) > 1e-2, name
+
+
+def test_adjoint_matches_parameter_shift_at_n4():
+    rng = np.random.default_rng(14)
+    ds = generate_dataset(n=4, epsilon=None, count_per_class=3, seed=4)
+    states = encode_pairs(ds.samples, 4)
+    y = ds.labels().astype(float)
+    spec = AnsatzSpec(layers=1)
+    params = QnnUParams(rng.uniform(-1, 1, spec.param_count()), 0.8, 0.3)
+    for name in READOUTS:
+        obs = POOL4.entry(name)
+        _, gt_ad, _, _, _ = loss_and_gradient(states, y, params, POOL4, spec,
+                                              obs, "adjoint")
+        _, gt_sh, _, _, _ = loss_and_gradient(states, y, params, POOL4, spec,
+                                              obs, "shift")
+        np.testing.assert_allclose(gt_ad, gt_sh, rtol=0, atol=1e-12)
+
+
+def test_swap_readout_angle_gradient_vanishes():
+    """SWAP commutes with every generator, so no angle changes <SWAP>."""
+    rng = np.random.default_rng(15)
+    spec = AnsatzSpec()
     obs = POOL2.entry("swap")
-    l_fd, gt_fd, ga_fd, gb_fd, _ = loss_and_gradient(
-        states, y, params, POOL2, spec, obs, "fd")
-    l_sh, gt_sh, ga_sh, gb_sh, _ = loss_and_gradient(
-        states, y, params, POOL2, spec, obs, "shift")
-    assert l_fd == l_sh
-    np.testing.assert_allclose(gt_fd, gt_sh, atol=1e-4)
-    assert ga_fd == ga_sh and gb_fd == gb_sh
+    for _ in range(25):
+        states = np.stack([random_state(rng, 16) for _ in range(4)], axis=1)
+        y = rng.integers(0, 2, 4).astype(float)
+        params = QnnUParams(rng.uniform(-math.pi, math.pi,
+                                        spec.param_count()),
+                            rng.uniform(-2, 2), rng.uniform(-1, 1))
+        _, gt, _, _, _ = loss_and_gradient(states, y, params, POOL2, spec,
+                                           obs)
+        assert np.max(np.abs(gt)) <= 1e-12
 
 
 def test_analytic_head_gradients():

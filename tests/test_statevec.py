@@ -20,6 +20,7 @@ from artifact.statevec import (
     fwht,
     phase_state,
     product_state,
+    signed_permutation,
 )
 
 
@@ -227,6 +228,37 @@ def test_primitives_preserve_norm():
     v = random_state(rng, 16, complex_=True)
     for prim in (PauliString("XYZY"), SwapNetwork(), GlobalWHT()):
         assert abs(np.linalg.norm(apply_primitive(v, prim, n)) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("factors", [
+    (PauliString("XIYZ"),),
+    (PauliString("YIII"),),
+    (PauliString("IYIY"),),
+    (PauliString("YYYZ"),),
+    (SwapNetwork(),),
+    (SwapNetwork(), PauliString("XYZI")),
+    (PauliString("ZIYX"), SwapNetwork(), PauliString("YIIX")),
+])
+def test_signed_permutation_matches_dense(factors):
+    n = 2
+    rng = np.random.default_rng(18)
+    expr = ObservableExpr("perm", factors)
+    src, sign = signed_permutation(expr, n)
+    M = dense_observable(expr, n)
+    P = np.zeros((16, 16), dtype=complex)
+    P[np.arange(16), src] = sign
+    np.testing.assert_allclose(P, M, atol=0)
+    v = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
+    np.testing.assert_allclose(sign[:, None] * v[src],
+                               apply_observable(v, expr, n), atol=1e-15)
+
+
+def test_signed_permutation_none_for_mixing_factors():
+    for factors in ((GlobalWHT(),), (SwapNetwork(), GlobalWHT()),
+                    (nn_sum("Z", 2),)):
+        assert signed_permutation(ObservableExpr("mix", factors), 2) is None
+    with pytest.raises(ValueError, match="length"):
+        signed_permutation(ObservableExpr("p", (PauliString("XX"),)), 2)
 
 
 # --- expectation ------------------------------------------------------------
