@@ -47,7 +47,7 @@ from .qnn_meas import (
     lasso_fit,
     lasso_predict,
 )
-from .qnn_var import GRAD_METHODS, train_qnn_u
+from .qnn_var import train_qnn_u
 from .statevec import expectation, forrelation, phase_state, product_state
 from .symmetry import build_pool, check_invariance_conditions
 
@@ -87,7 +87,6 @@ class ExperimentConfig:
     sweep_n: tuple = None  # fig5 only
     rounding: str = "sign"
     partner: str = "encoded"
-    grad_method: str = "adjoint"
 
 
 _DEFAULTS = {
@@ -171,9 +170,6 @@ def _validate_config(c: ExperimentConfig) -> None:
         raise ConfigError("epochs must be >= 1")
     if c.lr is not None and c.lr < 0:
         raise ConfigError("lr must be nonnegative")
-    if c.grad_method not in GRAD_METHODS:
-        raise ConfigError(f"unknown grad_method {c.grad_method!r}; expected "
-                          f"one of {', '.join(GRAD_METHODS)}")
 
 
 @dataclass(frozen=True)
@@ -267,8 +263,7 @@ def _run_qnn_u(train_samples, test_samples, config, n, seed):
         train_samples, pool,
         epochs=config.epochs if config.epochs is not None else 200,
         lr=config.lr if config.lr is not None else 0.1,
-        seed=seed, grad_method=config.grad_method,
-        test_samples=test_samples,
+        seed=seed, test_samples=test_samples,
         record_every=config.record_every if config.record_every else 1)
     return [(r.epoch, r.train_loss, r.train_acc, r.test_acc)
             for r in result.records]

@@ -10,7 +10,7 @@ with no Trotter error. Because each generator commutes with both symmetry
 representations, so does the whole circuit, and predictions are invariant
 under exchanging the two barcodes. Each factor of the default generators
 is a signed permutation (Pauli strings, the SWAP network), so its action
-is precomputed once per training run as T v = sign * v[src].
+is precomputed once per training run as T v = phase * sign * v[src].
 
 The readout is an affine-rescaled pool-observable expectation
 y_hat = a <O> + b trained by MSE against the 0/1 class labels with Adam.
@@ -124,8 +124,10 @@ class Factor:
     """One involutory factor T of the circuit, applied as cos - i sin T.
 
     param indexes its angle and term its place in the generator's
-    exp_terms. When T is a signed permutation, T v = sign * v[src] with both
-    precomputed; otherwise src is None and T goes through apply_observable.
+    exp_terms. T v = phase * unphased(v): for a signed permutation the
+    scalar phase is a power of i and unphased(v) = sign * v[src], both
+    precomputed; otherwise src is None, phase is 1 and T goes through
+    apply_observable. Callers fold phase into their scalar coefficients.
     """
 
     param: int
@@ -134,8 +136,9 @@ class Factor:
     n: int
     src: np.ndarray = None
     sign: np.ndarray = None
+    phase: complex = 1.0
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
+    def unphased(self, v: np.ndarray) -> np.ndarray:
         if self.src is None:
             return apply_observable(v, self.expr, self.n)
         return v[self.src] * (self.sign if v.ndim == 1 else self.sign[:, None])
@@ -144,23 +147,25 @@ class Factor:
 def ansatz_factors(pool: OperatorPool, spec: AnsatzSpec) -> tuple:
     """The circuit's factors in application order.
 
-    The layers share one (src, sign) pair per exp-term. Callers build the
-    factors once per training run rather than caching them per pool: at
-    n = 10 the terms of sum_y alone would hold 20 vectors of 2**20 indices.
+    The layers share one (src, sign) pair per exp-term, 5 bytes per
+    amplitude: at n = 10 the 57 terms of the default generators hold about
+    300 MB. Callers therefore build the factors once per training run
+    rather than caching them per pool.
     """
     actions = []
     for entry in generator_entries(pool, spec):
         if not entry.exp_terms:
             raise ValueError(f"pool entry {entry.name!r} has no exponential "
                              "structure")
-        actions.append([(term, signed_permutation(term, pool.n) or (None, None))
+        actions.append([(term, signed_permutation(term, pool.n)
+                         or (None, None, 1.0))
                         for term in entry.exp_terms])
     factors = []
     k = 0
     for _layer in range(spec.layers):
         for terms in actions:
-            factors.extend(Factor(k, j, term, pool.n, src, sign)
-                           for j, (term, (src, sign)) in enumerate(terms))
+            factors.extend(Factor(k, j, term, pool.n, *action)
+                           for j, (term, action) in enumerate(terms))
             k += 1
     return tuple(factors)
 
@@ -181,7 +186,7 @@ def apply_ansatz(states: np.ndarray, thetas: np.ndarray, pool: OperatorPool,
         ang = float(thetas[f.param])
         if shift_at is not None and (f.param, f.term) == shift_at[:2]:
             ang += shift_at[2]
-        v = math.cos(ang) * v - 1j * math.sin(ang) * f.apply(v)
+        v = math.cos(ang) * v - 1j * math.sin(ang) * f.phase * f.unphased(v)
     return v
 
 
@@ -240,11 +245,11 @@ def adjoint_angle_gradient(phi: np.ndarray, lam: np.ndarray,
     grad = np.zeros(np.size(thetas))
     for f in reversed(factors):
         ang = float(thetas[f.param])
-        c, s = math.cos(ang), math.sin(ang)
-        t_phi = f.apply(phi)
-        grad[f.param] += 2.0 * np.vdot(lam, t_phi).imag
-        phi = c * phi + 1j * s * t_phi
-        lam = c * lam + 1j * s * f.apply(lam)
+        c, s = math.cos(ang), 1j * math.sin(ang) * f.phase
+        t_phi = f.unphased(phi)
+        grad[f.param] += 2.0 * (f.phase * np.vdot(lam, t_phi)).imag
+        phi = c * phi + s * t_phi
+        lam = c * lam + s * f.unphased(lam)
     return grad
 
 
@@ -303,8 +308,7 @@ def accuracy(preds: np.ndarray, labels: np.ndarray) -> float:
 
 def train_qnn_u(train_samples, pool: OperatorPool, spec: AnsatzSpec = None,
                 observable_name: str = "swap", epochs: int = DEFAULT_EPOCHS,
-                lr: float = DEFAULT_LR, seed: int = 0,
-                grad_method: str = "adjoint", test_samples=None,
+                lr: float = DEFAULT_LR, seed: int = 0, test_samples=None,
                 record_every: int = 1) -> QnnUResult:
     """Adam training of the variational model on encoded pairs.
 
@@ -341,7 +345,7 @@ def train_qnn_u(train_samples, pool: OperatorPool, spec: AnsatzSpec = None,
     opt = adam_init([params.thetas, np.float64(params.a), np.float64(params.b)])
     for epoch in range(1, epochs + 1):
         _, gt, ga, gb, _ = loss_and_gradient(states, y, params, pool, spec,
-                                             observable, grad_method, factors)
+                                             observable, factors=factors)
         new = adam_step([params.thetas, np.float64(params.a),
                          np.float64(params.b)],
                         [gt, np.float64(ga), np.float64(gb)], opt, lr)

@@ -199,13 +199,16 @@ def _parity(values: np.ndarray) -> np.ndarray:
 
 
 def _pauli_action(letters: str):
-    """(src, sign) with (P v)[j] = sign[j] * v[src[j]] for the string P."""
+    """(src, sign, phase) with (P v)[j] = phase * sign[j] * v[src[j]].
+
+    sign is a +-1 int8 array and phase the string's scalar i**ny.
+    """
     flip, yz, ny = _masks(letters)
     src = np.arange(2 ** len(letters), dtype=np.int64) ^ flip
-    coef = (1j) ** ny
+    phase = (1j) ** ny
     if ny % 2 == 0:
-        coef = coef.real  # keeps real states real under X/Z/even-Y strings
-    return src, coef * (1.0 - 2.0 * _parity(src & yz))
+        phase = phase.real  # keeps real states real under X/Z/even-Y strings
+    return src, 1 - 2 * _parity(src & yz), phase
 
 
 def _apply_pauli_string(state: np.ndarray, letters: str) -> np.ndarray:
@@ -213,34 +216,38 @@ def _apply_pauli_string(state: np.ndarray, letters: str) -> np.ndarray:
     nq = len(letters)
     if D != 2 ** nq:
         raise ValueError(f"state length {D} != 2**{nq}")
-    src, sign = _pauli_action(letters)
-    return state[src] * sign.reshape((D,) + (1,) * (state.ndim - 1))
+    src, sign, phase = _pauli_action(letters)
+    return phase * (state[src] * sign.reshape((D,) + (1,) * (state.ndim - 1)))
 
 
 def signed_permutation(expr: ObservableExpr, n: int):
-    """(src, sign) with (expr v)[j] = sign[j] * v[src[j]], or None.
+    """(src, sign, phase) with (expr v)[j] = phase * sign[j] * v[src[j]].
 
-    It exists when every factor is a Pauli string or the SWAP network (the
-    network's sign is +1); a Pauli sum or a Walsh-Hadamard factor mixes
-    amplitudes, and then None is returned.
+    src is int32 and sign a +-1 int8 array, so a stored factor costs 5
+    bytes per amplitude; phase is a scalar power of i. It exists when every
+    factor is a Pauli string or the SWAP network (the network's sign is +1);
+    a Pauli sum or a Walsh-Hadamard factor mixes amplitudes, and then None
+    is returned.
     """
     D = 4 ** n
-    src = np.arange(D, dtype=np.int64)
-    sign = np.ones(D)
+    src = np.arange(D, dtype=np.int32)
+    sign = np.ones(D, dtype=np.int8)
+    phase = 1.0
     for prim in reversed(expr.factors):
         if isinstance(prim, PauliString):
             if len(prim.letters) != 2 * n:
                 raise ValueError(f"Pauli string length != 2n = {2 * n}")
-            p_src, p_sign = _pauli_action(prim.letters)
+            p_src, p_sign, p_phase = _pauli_action(prim.letters)
         elif isinstance(prim, SwapNetwork):
             p_src = np.arange(D, dtype=np.int64).reshape(2 ** n, 2 ** n).T.ravel()
-            p_sign = 1.0
+            p_sign, p_phase = 1, 1.0
         else:
             return None
-        # (P A v)[j] = p_sign[j] * (A v)[p_src[j]]
+        # (P A v)[j] = p_phase * p_sign[j] * (A v)[p_src[j]]
         sign = p_sign * sign[p_src]
         src = src[p_src]
-    return src, sign
+        phase = p_phase * phase
+    return src, sign, phase
 
 
 def apply_primitive(state: np.ndarray, prim, n: int) -> np.ndarray:

@@ -92,21 +92,6 @@ def test_invalid_values_rejected():
         make_config("fig5", sweep_n=())
 
 
-def test_unknown_grad_method_rejected(tmp_path):
-    assert make_config("fig3").grad_method == "adjoint"
-    for method in ("adjoint", "fd", "shift"):
-        assert make_config("fig3", grad_method=method).grad_method == method
-    with pytest.raises(ConfigError, match="unknown grad_method"):
-        make_config("fig3", grad_method="backprop")
-    # rejected before any model runs, so the CLI exits 1 and writes nothing
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"experiment": "fig3", "grad_method": "FD"}))
-    out = tmp_path / "x.csv"
-    assert main(["run", "--experiment", "fig3", "--config", str(cfg),
-                 "--out", str(out)]) == 1
-    assert not out.exists()
-
-
 def test_cnn_register_size_constraint():
     with pytest.raises(ConfigError, match="cnn requires"):
         make_config("fig4", n=6)  # 2**6 pixels is 8x8, below the minimum

@@ -243,13 +243,15 @@ def test_signed_permutation_matches_dense(factors):
     n = 2
     rng = np.random.default_rng(18)
     expr = ObservableExpr("perm", factors)
-    src, sign = signed_permutation(expr, n)
+    src, sign, phase = signed_permutation(expr, n)
+    assert src.dtype == np.int32 and sign.dtype == np.int8
+    assert set(np.unique(sign)) <= {-1, 1} and abs(phase) == 1
     M = dense_observable(expr, n)
     P = np.zeros((16, 16), dtype=complex)
-    P[np.arange(16), src] = sign
+    P[np.arange(16), src] = phase * sign
     np.testing.assert_allclose(P, M, atol=0)
     v = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
-    np.testing.assert_allclose(sign[:, None] * v[src],
+    np.testing.assert_allclose(phase * (sign[:, None] * v[src]),
                                apply_observable(v, expr, n), atol=1e-15)
 
 
