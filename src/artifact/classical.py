@@ -17,10 +17,11 @@ Encoders:
 
 Initialization is He-uniform by fan-in; the final embedding layer is scaled
 by 0.01 so the initial distances are small and the MSE-through-sigmoid
-gradient does not start saturated. Training is full-batch Adam (1e-3) for
-at most 300 epochs with early stopping once training accuracy is perfect
-and at least 50 epochs have elapsed. Weights serialize to a single file:
-a JSON header describing the tensors, then their raw bytes.
+gradient does not start saturated. Training runs optim.fit, the loop qnn_u
+shares: full-batch Adam (1e-3) for at most 300 epochs, stopping early once
+training accuracy is perfect and at least 50 epochs have elapsed. Weights
+serialize to a single file: a JSON header describing the tensors, then
+their raw bytes; loading builds a seed-0 model and overwrites its tensors.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optim import adam_init, adam_step
+from .optim import accuracy, fit
 
 DEFAULT_WIDTHS = (128, 64, 32)
 DEFAULT_EMB_SCALE = 0.01
@@ -69,9 +70,6 @@ class CnnSpec:
                 raise ValueError(f"side {self.side} too small for the fixed "
                                  "conv/pool stack")
             s = s // 2
-        if s < 1:
-            raise ValueError(f"side {self.side} too small for the fixed "
-                             "conv/pool stack")
         return s * s * self.channels[-1]
 
 
@@ -196,15 +194,15 @@ class MlpEncoder:
             acts.append(h)
         return h, acts
 
-    def backward(self, acts, g_emb, gW, gb):
-        """Accumulate parameter grads for one branch into gW/gb lists."""
+    def backward(self, acts, g_emb, grads):
+        """Accumulate into grads = [gW0, .., gW(L-1), gb0, .., gb(L-1)]."""
         g = g_emb
         L = len(self.W)
         for i in reversed(range(L)):
             if i < L - 1:
                 g = g * (acts[i + 1] > 0)
-            gW[i] += acts[i].T @ g
-            gb[i] += g.sum(axis=0)
+            grads[i] += acts[i].T @ g
+            grads[L + i] += g.sum(axis=0)
             g = g @ self.W[i].T
 
 
@@ -269,16 +267,14 @@ class CnnEncoder:
 class SiameseModel:
     """Weight-shared encoder pair + distance head, trained by MSE."""
 
-    def __init__(self, spec, rng=None, head: str = "logistic",
-                 emb_scale: float = DEFAULT_EMB_SCALE, _empty: bool = False):
+    def __init__(self, spec, rng, head: str = "logistic",
+                 emb_scale: float = DEFAULT_EMB_SCALE):
         if head not in ("logistic", "exp"):
             raise ValueError(f"unknown head {head!r}")
         self.spec = spec
         self.head = head
         self.emb_scale = emb_scale
-        if _empty:
-            self.encoder = None
-        elif isinstance(spec, MlpSpec):
+        if isinstance(spec, MlpSpec):
             self.encoder = MlpEncoder(spec, rng, emb_scale)
         elif isinstance(spec, CnnSpec):
             self.encoder = CnnEncoder(spec, rng, emb_scale)
@@ -314,9 +310,6 @@ class SiameseModel:
             p = 1.0 - np.exp(-d)
         return p, (c1, c2, h1, h2, d)
 
-    def predict(self, X1, X2):
-        return (self.forward(X1, X2)[0] > 0.5).astype(int)
-
     def loss_and_gradients(self, X1, X2, y):
         """MSE loss, predictions, and grads aligned with params()."""
         y = np.asarray(y, dtype=float)
@@ -335,14 +328,8 @@ class SiameseModel:
             dd = dLdp * np.exp(-d)
         gh1 = (2.0 * dd)[:, None] * (h1 - h2)
         enc_grads = [np.zeros_like(t) for t in self.encoder.params()]
-        if isinstance(self.encoder, MlpEncoder):
-            L = len(self.encoder.W)
-            gW, gb = enc_grads[:L], enc_grads[L:]
-            self.encoder.backward(c1, gh1, gW, gb)
-            self.encoder.backward(c2, -gh1, gW, gb)
-        else:
-            self.encoder.backward(c1, gh1, enc_grads)
-            self.encoder.backward(c2, -gh1, enc_grads)
+        self.encoder.backward(c1, gh1, enc_grads)
+        self.encoder.backward(c2, -gh1, enc_grads)
         grads = enc_grads + [np.float64(gw), np.float64(gc)]
         return loss, p, grads
 
@@ -351,17 +338,9 @@ class SiameseModel:
 
 
 @dataclass(frozen=True)
-class SiameseRecord:
-    epoch: int
-    train_loss: float
-    train_acc: float
-    test_acc: float
-
-
-@dataclass(frozen=True)
 class SiameseResult:
     model: SiameseModel
-    records: tuple
+    records: tuple  # of optim.EpochRecord
     stopped_early: bool
 
 
@@ -376,44 +355,30 @@ def train_siamese(train_samples, spec, seed: int = 0, head: str = "logistic",
                   epochs: int = DEFAULT_EPOCHS, lr: float = DEFAULT_LR,
                   test_samples=None, record_every: int = 1,
                   emb_scale: float = DEFAULT_EMB_SCALE) -> SiameseResult:
-    """Full-batch Adam; stops early once training accuracy is perfect and at
-    least 50 epochs have run. Epoch 0 records the pre-training baseline."""
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
-    rng = np.random.default_rng(seed)
-    model = SiameseModel(spec, rng, head=head, emb_scale=emb_scale)
+    """Full-batch Adam (optim.fit); stops early once training accuracy is
+    perfect and at least MIN_EPOCHS_BEFORE_STOP epochs have run. Epoch 0
+    records the pre-training baseline."""
+    model = SiameseModel(spec, np.random.default_rng(seed), head=head,
+                         emb_scale=emb_scale)
     X1, X2, y = samples_to_arrays(train_samples)
-    test_arrays = None
     if test_samples is not None:
-        test_arrays = samples_to_arrays(test_samples)
+        tX1, tX2, ty = samples_to_arrays(test_samples)
 
-    def train_eval():
-        p, _ = model.forward(X1, X2)
-        return (float(np.mean((p - y) ** 2)),
-                float(np.mean((p > 0.5).astype(int) == y)))
+    def loss_and_grad(p):
+        model.set_params(p)
+        return model.loss_and_gradients(X1, X2, y)
 
-    def test_eval():
-        if test_arrays is None:
+    def test_acc(p):
+        if test_samples is None:
             return float("nan")
-        tX1, tX2, ty = test_arrays
-        tp, _ = model.forward(tX1, tX2)
-        return float(np.mean((tp > 0.5).astype(int) == ty))
+        model.set_params(p)
+        return accuracy(model.forward(tX1, tX2)[0], ty)
 
-    records = [SiameseRecord(0, *train_eval(), test_eval())]
-    state = adam_init(model.params())
-    stopped_early = False
-    for epoch in range(1, epochs + 1):
-        _, _, grads = model.loss_and_gradients(X1, X2, y)
-        model.set_params(adam_step(model.params(), grads, state, lr))
-        loss, acc = train_eval()
-        stop = acc == 1.0 and epoch >= MIN_EPOCHS_BEFORE_STOP
-        # test-set evaluation only on recorded epochs (it dominates runtime)
-        if epoch % record_every == 0 or stop or epoch == epochs:
-            records.append(SiameseRecord(epoch, loss, acc, test_eval()))
-        if stop:
-            stopped_early = epoch < epochs
-            break
-    return SiameseResult(model, tuple(records), stopped_early)
+    params, records, stopped_early = fit(
+        model.params(), loss_and_grad, y, test_acc, epochs, lr, record_every,
+        MIN_EPOCHS_BEFORE_STOP)
+    model.set_params(params)
+    return SiameseResult(model, records, stopped_early)
 
 
 # -------------------------------------------------------- serialization
@@ -468,12 +433,9 @@ def load_weights(path) -> SiameseModel:
         if header.get("format") != "siamese-weights":
             raise ValueError("not a siamese weight file")
         body = fh.read()
-    spec = _spec_from_dict(header["encoder"])
-    model = SiameseModel(spec, head=header["head"],
-                         emb_scale=float(header["emb_scale"]), _empty=True)
-    model.encoder = (MlpEncoder(spec, np.random.default_rng(0))
-                     if isinstance(spec, MlpSpec)
-                     else CnnEncoder(spec, np.random.default_rng(0)))
+    model = SiameseModel(_spec_from_dict(header["encoder"]),
+                         np.random.default_rng(0), head=header["head"],
+                         emb_scale=float(header["emb_scale"]))
     values = []
     for t in header["tensors"]:
         raw = body[t["offset"]:t["offset"] + t["nbytes"]]

@@ -35,17 +35,25 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .classical import MlpSpec, cnn_spec_for, train_siamese
-from .dataset import Dataset, default_epsilon, generate_dataset, sample_pair
+from .dataset import (
+    DEFAULT_PARTNER,
+    DEFAULT_ROUNDING,
+    Dataset,
+    default_epsilon,
+    generate_dataset,
+    sample_pair,
+)
+from .optim import EpochRecord, accuracy
 from .qnn_meas import (
     DEFAULT_LAMBDA,
     extract_feature_matrix,
     lasso_fit,
-    lasso_predict,
+    lasso_scores,
 )
 from .qnn_var import train_qnn_u
 from .statevec import expectation, forrelation, phase_state, product_state
@@ -64,6 +72,7 @@ KNOWN_MODELS = ("qnn_m", "qnn_u", "dnn", "cnn")
 ORACLE_IDENTITY_SIZES = (2, 3, 5)
 ORACLE_PAIRS_PER_SIZE = 100
 ORACLE_FLAT_CASES = 20
+ORACLE_STATS_PER_CLASS = 200
 
 
 class ConfigError(ValueError):
@@ -85,8 +94,8 @@ class ExperimentConfig:
     master_seed: int = 0
     record_every: int = None
     sweep_n: tuple = None  # fig5 only
-    rounding: str = "sign"
-    partner: str = "encoded"
+    rounding: str = DEFAULT_ROUNDING
+    partner: str = DEFAULT_PARTNER
 
 
 _DEFAULTS = {
@@ -251,44 +260,25 @@ def _run_qnn_m(train_samples, test_samples, config, n):
     y_test = np.array([s.label for s in test_samples], dtype=float)
     model = lasso_fit(F_train, y_train, feature_names=tuple(pool.names()),
                       lam=config.lam)
-    train_acc = float(np.mean(lasso_predict(model, F_train) == y_train))
-    test_acc = float(np.mean(lasso_predict(model, F_test) == y_test))
-    return [(model.sweeps_used, model.objective_history[-1], train_acc,
-             test_acc)]
-
-
-def _run_qnn_u(train_samples, test_samples, config, n, seed):
-    pool = _operator_pool(n)
-    result = train_qnn_u(
-        train_samples, pool,
-        epochs=config.epochs if config.epochs is not None else 200,
-        lr=config.lr if config.lr is not None else 0.1,
-        seed=seed, test_samples=test_samples,
-        record_every=config.record_every if config.record_every else 1)
-    return [(r.epoch, r.train_loss, r.train_acc, r.test_acc)
-            for r in result.records]
-
-
-def _run_siamese(model_name, train_samples, test_samples, config, n, seed):
-    spec = MlpSpec(2 ** n) if model_name == "dnn" else cnn_spec_for(n)
-    result = train_siamese(
-        train_samples, spec, seed=seed,
-        epochs=config.epochs if config.epochs is not None else 300,
-        lr=config.lr if config.lr is not None else 1e-3,
-        test_samples=test_samples,
-        record_every=config.record_every if config.record_every else 1)
-    return [(r.epoch, r.train_loss, r.train_acc, r.test_acc)
-            for r in result.records]
+    return [EpochRecord(model.sweeps_used, model.objective_history[-1],
+                        accuracy(lasso_scores(model, F_train), y_train),
+                        accuracy(lasso_scores(model, F_test), y_test))]
 
 
 def _run_model(model_name, train_samples, test_samples, config, n, seed):
     if model_name == "qnn_m":
         return _run_qnn_m(train_samples, test_samples, config, n)
+    # only the training fields the config sets; the trainers default the rest
+    training = {name: getattr(config, name)
+                for name in ("epochs", "lr", "record_every")
+                if getattr(config, name) is not None}
     if model_name == "qnn_u":
-        return _run_qnn_u(train_samples, test_samples, config, n, seed)
+        return train_qnn_u(train_samples, _operator_pool(n), seed=seed,
+                           test_samples=test_samples, **training).records
     if model_name in ("dnn", "cnn"):
-        return _run_siamese(model_name, train_samples, test_samples, config,
-                            n, seed)
+        spec = MlpSpec(2 ** n) if model_name == "dnn" else cnn_spec_for(n)
+        return train_siamese(train_samples, spec, seed=seed,
+                             test_samples=test_samples, **training).records
     raise ConfigError(f"unknown model {model_name!r}")
 
 
@@ -303,10 +293,10 @@ def _records_for_point(config, n, trial, train_samples, test_samples,
         point_rows = _run_model(model_name, train_samples, test_samples,
                                 config, n, seed)
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        for epoch, loss, tr_acc, te_acc in point_rows:
-            rows.append(RunRecord(trial, model_name, n, M, int(epoch),
-                                  float(loss), float(tr_acc), float(te_acc),
-                                  seed, wall_ms))
+        for r in point_rows:
+            rows.append(RunRecord(trial, model_name, n, M, int(r.epoch),
+                                  float(r.train_loss), float(r.train_acc),
+                                  float(r.test_acc), seed, wall_ms))
     return rows
 
 
@@ -397,7 +387,7 @@ def run_oracle_check(config: ExperimentConfig) -> dict:
     # 3. class-conditional F statistics (always at n=5, plus the configured
     #    size): class separation in standard errors and the O(1/N)
     #    uncorrelated mean
-    per_class = 200
+    per_class = ORACLE_STATS_PER_CLASS
     for n in sorted({5, config.n}):
         rng = np.random.default_rng(
             derive_seed(config.master_seed, "oracle", n, "stats"))
@@ -433,8 +423,7 @@ def run_oracle_check(config: ExperimentConfig) -> dict:
                        partner=config.partner)
     train_pool, test = _train_pool_and_test(cfg5, n5, 0)
     train = train_pool.samples
-    qnn_rows = _run_qnn_m(train, test.samples, cfg5, n5)
-    qnn_acc = qnn_rows[0][3]
+    qnn_acc = _run_qnn_m(train, test.samples, cfg5, n5)[0].test_acc
     thr_acc = _threshold_classifier_accuracy(train, test.samples)
     report["threshold_vs_qnn_m"] = {
         "n": n5, "threshold_acc": thr_acc, "qnn_m_acc": qnn_acc,

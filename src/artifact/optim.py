@@ -1,4 +1,4 @@
-"""Adam optimizer over a flat list of numpy arrays (shared by all trainers)."""
+"""Adam and the one full-batch training loop shared by all trainers."""
 
 from __future__ import annotations
 
@@ -12,6 +12,20 @@ class AdamState:
     m: list  # first-moment estimates, one array per parameter
     v: list  # second-moment estimates
     t: int = 0
+
+
+@dataclass(frozen=True)
+class EpochRecord:
+    epoch: int
+    train_loss: float
+    train_acc: float
+    test_acc: float
+
+
+def accuracy(preds, labels) -> float:
+    """Fraction of scores on the right side of 1/2 for 0/1 labels."""
+    return float(np.mean((np.asarray(preds) > 0.5).astype(int)
+                         == np.asarray(labels)))
 
 
 def adam_init(params) -> AdamState:
@@ -35,3 +49,35 @@ def adam_step(params, grads, state: AdamState, lr: float,
         v_hat = state.v[i] / (1.0 - beta2 ** t)
         out.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
     return out
+
+
+def fit(params, loss_and_grad, labels, test_acc, epochs: int, lr: float,
+        record_every: int = 1, min_epochs_before_stop: int = None):
+    """Full-batch Adam over a parameter list; returns
+    (params, records, stopped_early).
+
+    loss_and_grad(params) returns (loss, preds, grads) and test_acc(params)
+    the test accuracy. Epoch 0 records the starting point; each later call
+    of loss_and_grad gives both that epoch's train loss and accuracy and
+    the next step's gradient, so an E-epoch run makes E + 1 calls. Every
+    record_every-th epoch and the last one are recorded, and test_acc runs
+    only there. With min_epochs_before_stop, training ends at the first
+    epoch at or after it with perfect train accuracy.
+    """
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
+    loss, preds, grads = loss_and_grad(params)
+    records = [EpochRecord(0, loss, accuracy(preds, labels),
+                           test_acc(params))]
+    state = adam_init(params)
+    for epoch in range(1, epochs + 1):
+        params = adam_step(params, grads, state, lr)
+        loss, preds, grads = loss_and_grad(params)
+        acc = accuracy(preds, labels)
+        stop = (min_epochs_before_stop is not None and acc == 1.0
+                and epoch >= min_epochs_before_stop)
+        if epoch % record_every == 0 or stop or epoch == epochs:
+            records.append(EpochRecord(epoch, loss, acc, test_acc(params)))
+        if stop:
+            return params, tuple(records), epoch < epochs
+    return params, tuple(records), False

@@ -6,18 +6,12 @@ state. A LASSO-regularized linear regression (coordinate descent over
 standardized features) maps the feature vector to the class label, and
 prediction thresholds the regression score at 1/2.
 
-Feature extraction has two routes:
-
-- a factorized fast path that never builds the 4^n-dimensional pair state:
-  every pool observable acts on a product of real states, so its
-  expectation reduces to dot products on the two 2^n-dimensional register
-  vectors (Walsh-Hadamard transforms included);
-- a structured path that applies the observable to the explicit product
-  state via the simulator.
-
-The fast path is keyed by pool-entry name and is validated against the
-structured path in the test suite; unknown entries fall back to the
-structured route automatically.
+Features come from closed forms that never build the 4^n-dimensional pair
+state: every pool observable acts on a product of real states, so its
+expectation reduces to dot products on the two 2^n-dimensional register
+vectors (Walsh-Hadamard transforms included). Every Hermitian pool entry
+has one. structured_features, which applies each observable to the
+explicit product state via the simulator, is their oracle in the tests.
 """
 
 from __future__ import annotations
@@ -28,13 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .statevec import as_bits, expectation, fwht, phase_state, product_state
-from .symmetry import OperatorPool, PoolEntry
+from .symmetry import OperatorPool
 
 DEFAULT_LAMBDA = 0.03
-FAST_FEATURE_NAMES = frozenset({
-    "sum_y", "sum_xx", "sum_yy", "sum_zz", "x_all",
-    "z_all", "swap", "wht_all", "swap_x_all", "swap_wht",
-})
 
 
 # ------------------------------------------------------------ features
@@ -77,45 +67,39 @@ def _fast_feature(name: str, a1: np.ndarray, a2: np.ndarray, n: int) -> float:
         return float(np.dot(a1, a2[::-1]) ** 2)
     if name == "swap_wht":
         return float(np.dot(a1, fwht(a2)) ** 2)
-    raise KeyError(name)
+    raise ValueError(f"pool entry {name!r} has no closed-form feature")
 
 
-def _structured_feature(entry: PoolEntry, a1, a2, n: int) -> float:
-    state = product_state(a1, a2)
-    return expectation(state, entry.expr, n)
-
-
-def extract_features(x1, x2, pool: OperatorPool, method: str = "fast") -> np.ndarray:
-    """Feature vector (one entry per pool observable) for a barcode pair.
-
-    method: "fast" uses the factorized closed forms where available and
-    falls back to the structured simulator route otherwise; "structured"
-    forces the simulator route for every entry.
-    """
-    if method not in ("fast", "structured"):
-        raise ValueError(f"unknown method {method!r}")
+def _pair_features(x1, x2, pool: OperatorPool, feature) -> np.ndarray:
+    """feature(entry, a1, a2) for every pool observable, after the checks."""
     a1 = phase_state(as_bits(x1))
     a2 = phase_state(as_bits(x2))
-    n = pool.n
-    if a1.size != 2 ** n or a2.size != 2 ** n:
+    if a1.size != 2 ** pool.n or a2.size != 2 ** pool.n:
         raise ValueError("barcode length does not match the pool register size")
     out = np.empty(len(pool.entries))
     for k, entry in enumerate(pool.entries):
         if not entry.usable_as_observable:
             raise ValueError(f"pool entry {entry.name!r} is not Hermitian and "
                              "cannot be used as an observable")
-        if method == "fast" and entry.name in FAST_FEATURE_NAMES:
-            out[k] = _fast_feature(entry.name, a1, a2, n)
-        else:
-            out[k] = _structured_feature(entry, a1, a2, n)
+        out[k] = feature(entry, a1, a2)
     return out
 
 
-def extract_feature_matrix(samples, pool: OperatorPool,
-                           method: str = "fast") -> np.ndarray:
+def extract_features(x1, x2, pool: OperatorPool) -> np.ndarray:
+    """Feature vector (one entry per pool observable) for a barcode pair."""
+    return _pair_features(x1, x2, pool, lambda entry, a1, a2:
+                          _fast_feature(entry.name, a1, a2, pool.n))
+
+
+def structured_features(x1, x2, pool: OperatorPool) -> np.ndarray:
+    """extract_features through the simulator: the closed forms' oracle."""
+    return _pair_features(x1, x2, pool, lambda entry, a1, a2: expectation(
+        product_state(a1, a2), entry.expr, pool.n))
+
+
+def extract_feature_matrix(samples, pool: OperatorPool) -> np.ndarray:
     """Stack extract_features over an iterable of sample pairs -> (M, K)."""
-    rows = [extract_features(s.x1, s.x2, pool, method) for s in samples]
-    return np.asarray(rows)
+    return np.asarray([extract_features(s.x1, s.x2, pool) for s in samples])
 
 
 # --------------------------------------------------------------- LASSO
@@ -127,6 +111,14 @@ def soft_threshold(x: float, lam: float) -> float:
     if x < -lam:
         return x + lam
     return 0.0
+
+
+def standardize(F: np.ndarray):
+    """Column-wise (Z, mu, sd); constant columns get scale 1, so Z = 0."""
+    mu = F.mean(axis=0)
+    sd = F.std(axis=0)
+    sd = np.where(sd < 1e-12, 1.0, sd)
+    return (F - mu) / sd, mu, sd
 
 
 @dataclass(frozen=True)
@@ -174,10 +166,7 @@ def lasso_fit(features: np.ndarray, labels: np.ndarray, feature_names=None,
     if len(feature_names) != K:
         raise ValueError("feature_names length does not match feature count")
 
-    mu = F.mean(axis=0)
-    sd = F.std(axis=0)
-    sd = np.where(sd < 1e-12, 1.0, sd)
-    Z = (F - mu) / sd
+    Z, mu, sd = standardize(F)
     col_norm = (Z * Z).mean(axis=0)  # 1.0 for standardized, 0.0 for constant
 
     intercept = float(y.mean())
@@ -221,12 +210,8 @@ def lasso_predict(model: LassoModel, features: np.ndarray) -> np.ndarray:
 
 def lambda_max(features: np.ndarray, labels: np.ndarray) -> float:
     """Smallest lam at which the fitted weight vector is identically zero."""
-    F = np.asarray(features, dtype=float)
+    Z = standardize(np.asarray(features, dtype=float))[0]
     y = np.asarray(labels, dtype=float)
-    mu = F.mean(axis=0)
-    sd = F.std(axis=0)
-    sd = np.where(sd < 1e-12, 1.0, sd)
-    Z = (F - mu) / sd
     return float(np.max(np.abs(Z.T @ (y - y.mean()))) / y.size)
 
 

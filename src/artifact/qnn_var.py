@@ -13,7 +13,8 @@ is a signed permutation (Pauli strings, the SWAP network), so its action
 is precomputed once per training run as T v = phase * sign * v[src].
 
 The readout is an affine-rescaled pool-observable expectation
-y_hat = a <O> + b trained by MSE against the 0/1 class labels with Adam.
+y_hat = a <O> + b trained by MSE against the 0/1 class labels with Adam
+(optim.fit).
 Angle gradients come from an exact adjoint sweep by default: one forward
 pass, then one backward pass that un-applies each factor (Jones & Gacon,
 arXiv:2009.02823). Central finite differences and the parameter-shift rule
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optim import adam_init, adam_step
+from .optim import accuracy, fit
 from .statevec import (
     ObservableExpr,
     apply_observable,
@@ -69,17 +70,9 @@ class QnnUParams:
 
 
 @dataclass(frozen=True)
-class EpochRecord:
-    epoch: int
-    train_loss: float
-    train_acc: float
-    test_acc: float
-
-
-@dataclass(frozen=True)
 class QnnUResult:
     params: QnnUParams
-    records: tuple  # of EpochRecord; epoch 0 is the pre-training baseline
+    records: tuple  # of optim.EpochRecord; epoch 0 is the baseline
 
 
 def init_params(spec: AnsatzSpec, rng) -> QnnUParams:
@@ -301,57 +294,41 @@ def loss_and_gradient(states: np.ndarray, labels: np.ndarray,
     return loss, gt, grad_a, grad_b, preds
 
 
-def accuracy(preds: np.ndarray, labels: np.ndarray) -> float:
-    return float(np.mean((np.asarray(preds) > 0.5).astype(int)
-                         == np.asarray(labels)))
-
-
 def train_qnn_u(train_samples, pool: OperatorPool, spec: AnsatzSpec = None,
                 observable_name: str = "swap", epochs: int = DEFAULT_EPOCHS,
                 lr: float = DEFAULT_LR, seed: int = 0, test_samples=None,
                 record_every: int = 1) -> QnnUResult:
-    """Adam training of the variational model on encoded pairs.
+    """Adam training of the variational model on encoded pairs (optim.fit).
 
     Records the pre-training baseline as epoch 0 and the state after every
     record_every-th epoch (the final epoch is always recorded).
     """
     if spec is None:
         spec = AnsatzSpec()
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
     observable = require_observable(pool, observable_name)
     factors = ansatz_factors(pool, spec)
-    rng = np.random.default_rng(seed)
-    params = init_params(spec, rng)
+    init = init_params(spec, np.random.default_rng(seed))
     states = encode_pairs(train_samples, pool.n)
     y = np.asarray([s.label for s in train_samples], dtype=float)
-    test_states = None
-    y_test = None
     if test_samples is not None:
         test_states = encode_pairs(test_samples, pool.n)
         y_test = np.asarray([s.label for s in test_samples], dtype=float)
 
-    def train_eval(p: QnnUParams):
-        preds = model_eval(states, p, pool, spec, observable, factors)
-        return mse_loss(preds, y), accuracy(preds, y)
+    def unpack(p) -> QnnUParams:
+        return QnnUParams(p[0], float(p[1]), float(p[2]))
 
-    def test_eval(p: QnnUParams):
-        if test_states is None:
+    def loss_and_grad(p):
+        loss, gt, ga, gb, preds = loss_and_gradient(
+            states, y, unpack(p), pool, spec, observable, factors=factors)
+        return loss, preds, [gt, np.float64(ga), np.float64(gb)]
+
+    def test_acc(p):
+        if test_samples is None:
             return float("nan")
-        return accuracy(model_eval(test_states, p, pool, spec, observable,
-                                   factors), y_test)
+        return accuracy(model_eval(test_states, unpack(p), pool, spec,
+                                   observable, factors), y_test)
 
-    records = [EpochRecord(0, *train_eval(params), test_eval(params))]
-    opt = adam_init([params.thetas, np.float64(params.a), np.float64(params.b)])
-    for epoch in range(1, epochs + 1):
-        _, gt, ga, gb, _ = loss_and_gradient(states, y, params, pool, spec,
-                                             observable, factors=factors)
-        new = adam_step([params.thetas, np.float64(params.a),
-                         np.float64(params.b)],
-                        [gt, np.float64(ga), np.float64(gb)], opt, lr)
-        params = QnnUParams(new[0], float(new[1]), float(new[2]))
-        # test-set evaluation only on recorded epochs (it dominates runtime)
-        if epoch % record_every == 0 or epoch == epochs:
-            records.append(EpochRecord(epoch, *train_eval(params),
-                                       test_eval(params)))
-    return QnnUResult(params, tuple(records))
+    params, records, _ = fit(
+        [init.thetas, np.float64(init.a), np.float64(init.b)], loss_and_grad,
+        y, test_acc, epochs, lr, record_every)
+    return QnnUResult(unpack(params), records)

@@ -282,24 +282,18 @@ def apply_observable(state: np.ndarray, expr: ObservableExpr, n: int) -> np.ndar
 
 def expectation(state: np.ndarray, expr: ObservableExpr, n: int,
                 imag_tol: float = 1e-9) -> float:
-    """<v|O|v> via structured application; rejects non-Hermitian residue.
-
-    A persistent imaginary part signals a non-Hermitian composition and
-    raises rather than being silently discarded.
-    """
-    state = np.asarray(state)
-    w = apply_observable(state, expr, n)
-    val = np.vdot(state, w)
-    if abs(val.imag) >= imag_tol:
-        raise ValueError(
-            f"expectation of {expr.name!r} has imaginary residue {val.imag:.3e}; "
-            "composition is not Hermitian")
-    return float(val.real)
+    """<v|O|v> for one state: expectation_batch, which rejects the
+    imaginary residue of a non-Hermitian composition."""
+    return float(expectation_batch(np.asarray(state), expr, n, imag_tol))
 
 
 def expectation_batch(states: np.ndarray, expr: ObservableExpr, n: int,
                       imag_tol: float = 1e-9) -> np.ndarray:
-    """Column-wise expectations for states of shape (D, S)."""
+    """Column-wise expectations for states of shape (D, S) or (D,).
+
+    A persistent imaginary part signals a non-Hermitian composition and
+    raises rather than being silently discarded.
+    """
     w = apply_observable(states, expr, n)
     vals = np.einsum("d...,d...->...", states.conj(), w)
     if np.max(np.abs(vals.imag)) >= imag_tol:

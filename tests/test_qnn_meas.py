@@ -15,6 +15,7 @@ from artifact.qnn_meas import (
     lasso_scores,
     lasso_to_dict,
     soft_threshold,
+    structured_features,
 )
 from artifact.statevec import forrelation
 from artifact.symmetry import POOL_CAPACITY, build_pool
@@ -35,8 +36,8 @@ def test_fast_path_matches_structured_path(n):
     rng = np.random.default_rng(42)
     for _ in range(12):
         x1, x2 = random_pair(rng, n)
-        fast = extract_features(x1, x2, pool, method="fast")
-        slow = extract_features(x1, x2, pool, method="structured")
+        fast = extract_features(x1, x2, pool)
+        slow = structured_features(x1, x2, pool)
         np.testing.assert_allclose(fast, slow, atol=1e-10)
 
 
@@ -57,7 +58,7 @@ def test_zero_valued_features_on_phase_states():
     rng = np.random.default_rng(3)
     for _ in range(5):
         x1, x2 = random_pair(rng, 3)
-        feats = extract_features(x1, x2, pool, method="structured")
+        feats = structured_features(x1, x2, pool)
         for zero_name in ("sum_y", "sum_zz", "z_all"):
             assert abs(feats[names.index(zero_name)]) <= 1e-12
 
