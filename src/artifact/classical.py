@@ -70,6 +70,9 @@ class CnnSpec:
                 raise ValueError(f"side {self.side} too small for the fixed "
                                  "conv/pool stack")
             s = s // 2
+        if s < 1:
+            raise ValueError(f"side {self.side} too small for the fixed "
+                             "conv/pool stack")
         return s * s * self.channels[-1]
 
 

@@ -57,14 +57,6 @@ def test_fit_makes_one_call_per_epoch_and_tests_only_on_schedule(
     assert len(params) == 1
 
 
-def test_fit_records_the_loss_at_the_recorded_parameters():
-    stub = Stub()
-    params, records, _ = fit([np.float64(1.0)], stub.loss_and_grad, LABELS,
-                             stub.test_acc, 3, 0.1)
-    assert records[0].train_loss == 1.0
-    assert records[-1].train_loss == float(params[0]) ** 2
-
-
 def test_fit_matches_hand_rolled_adam():
     stub = Stub()
     params, records, _ = fit([np.float64(1.0)], stub.loss_and_grad, LABELS,
