@@ -13,8 +13,7 @@ import pytest
 
 from artifact import make_config, run_experiment
 
-GOLDEN = json.loads(
-    (Path(__file__).with_name("golden_records.json")).read_text())
+GOLDEN = json.loads(Path(__file__).with_name("golden_records.json").read_text())
 LOSS_RTOL = 1e-9
 
 
