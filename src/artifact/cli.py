@@ -19,9 +19,11 @@ import argparse
 import json
 import sys
 import traceback
+from dataclasses import replace
 
 from .dataset import generate_dataset, save_dataset
 from .harness import (
+    EXPERIMENTS,
     ConfigError,
     emit_csv,
     format_summary,
@@ -59,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an experiment")
     p_run.add_argument("--experiment", required=True,
-                       choices=["fig3", "fig4", "fig5", "oracle"])
+                       choices=EXPERIMENTS)
     p_run.add_argument("--config", default=None,
                        help="JSON config (optional; defaults per experiment)")
     p_run.add_argument("--out", required=True,
@@ -100,14 +102,9 @@ def _cmd_run(args) -> int:
                 f"config file is for {config.experiment!r} but --experiment "
                 f"is {args.experiment!r}")
         if args.seed is not None:
-            config = make_config(config.experiment,
-                                 **{**_config_overrides(config),
-                                    "master_seed": args.seed})
+            config = replace(config, master_seed=args.seed)
     else:
-        overrides = {}
-        if args.seed is not None:
-            overrides["master_seed"] = args.seed
-        config = make_config(args.experiment, **overrides)
+        config = make_config(args.experiment, master_seed=args.seed)
 
     result = run_experiment(config)
     if config.experiment == "oracle":
@@ -122,13 +119,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _config_overrides(config) -> dict:
-    from dataclasses import asdict
-    d = asdict(config)
-    d.pop("experiment")
-    return d
-
-
 def _cmd_summarize(args) -> int:
     records = read_csv(args.infile)
     if not records:
@@ -141,13 +131,8 @@ def _cmd_validate_pool(args) -> int:
     if args.n < 2:
         raise ConfigError("--n must be >= 2")
     report = validate_pool_report(args.n)
-    for entry in report["entries"]:
-        roles = []
-        if entry["usable_as_generator"]:
-            roles.append("generator")
-        if entry["usable_as_observable"]:
-            roles.append("observable")
-        print(f"  {entry['name']:12s} {'/'.join(roles) or 'excluded'}")
+    for name in report["entries"]:
+        print(f"  {name}")
     conditions = report["invariance_conditions"]
     for name, value in conditions.items():
         if name == "pass":

@@ -34,8 +34,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import numbers
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,20 +112,41 @@ _DEFAULTS = {
 }
 
 
+_INT, _REAL = numbers.Integral, numbers.Real
+# every config field and the type of its value; a field in brackets is a
+# list or tuple of that type
+_FIELD_TYPES = {
+    "n": _INT, "test_per_class": _INT, "trials": _INT, "epochs": _INT,
+    "master_seed": _INT, "record_every": _INT, "epsilon": _REAL,
+    "lam": _REAL, "lr": _REAL, "rounding": str, "partner": str,
+    "per_class_counts": [_INT], "sweep_n": [_INT], "models": [str],
+}
+
+
+def _has_type(value, kind) -> bool:
+    if isinstance(kind, list):
+        return (isinstance(value, (list, tuple))
+                and all(_has_type(v, kind[0]) for v in value))
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def make_config(experiment: str, **overrides) -> ExperimentConfig:
     experiment = EXPERIMENT_ALIASES.get(experiment, experiment)
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}; expected one "
                           f"of {', '.join(EXPERIMENTS)}")
     merged = dict(_DEFAULTS[experiment])
-    valid = {f.name for f in fields(ExperimentConfig)} - {"experiment"}
     for key, value in overrides.items():
         if key == "lambda":  # JSON-facing alias
             key = "lam"
-        if key not in valid:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config field {key!r}")
-        if value is not None:
-            merged[key] = value
+        if value is None:
+            continue
+        if not _has_type(value, _FIELD_TYPES[key]):
+            raise ConfigError(f"config field {key!r} has the wrong type: "
+                              f"{value!r}")
+        merged[key] = value
     for tup_field in ("per_class_counts", "models", "sweep_n"):
         if merged.get(tup_field) is not None:
             merged[tup_field] = tuple(merged[tup_field])
@@ -163,11 +185,10 @@ def _validate_config(c: ExperimentConfig) -> None:
     if c.experiment == "fig5":
         if not c.sweep_n or any(n < 2 for n in c.sweep_n):
             raise ConfigError("fig5 sweep_n must contain sizes >= 2")
-        if "cnn" in c.models and any(n not in (8, 10) for n in c.sweep_n):
-            raise ConfigError("cnn requires n in {8, 10}")
     elif c.n is None or c.n < 2:
         raise ConfigError("n must be >= 2")
-    if "cnn" in c.models and c.experiment not in ("fig5",) and c.n not in (8, 10):
+    sizes = c.sweep_n if c.experiment == "fig5" else (c.n,)
+    if "cnn" in c.models and any(n not in (8, 10) for n in sizes):
         raise ConfigError("cnn requires n in {8, 10}")
     if c.epsilon is not None and c.epsilon <= 0:
         raise ConfigError("epsilon must be positive")
@@ -359,12 +380,10 @@ def run_oracle_check(config: ExperimentConfig) -> dict:
     for n in ORACLE_IDENTITY_SIZES:
         rng = np.random.default_rng(
             derive_seed(config.master_seed, "oracle", n, "identity"))
-        eps = config.epsilon if config.epsilon is not None else None
         worst = 0.0
         for _ in range(ORACLE_PAIRS_PER_SIZE):
-            s = sample_pair(n, eps if eps is not None else default_epsilon(n),
-                            bool(rng.integers(0, 2)), rng, config.rounding,
-                            config.partner)
+            s = sample_pair(n, config.epsilon, bool(rng.integers(0, 2)), rng,
+                            config.rounding, config.partner)
             lhs = _swap_wht_expectation(s)
             rhs = forrelation(s.x1, s.x2)
             worst = max(worst, abs(lhs - rhs))
@@ -558,10 +577,7 @@ def validate_pool_report(n: int) -> dict:
     conditions = check_invariance_conditions()
     return {
         "n": n,
-        "entries": [{"name": e.name,
-                     "usable_as_generator": e.usable_as_generator,
-                     "usable_as_observable": e.usable_as_observable}
-                    for e in pool.entries],
+        "entries": pool.names(),
         "invariance_conditions": conditions,
         "pass": bool(conditions["pass"]),
     }

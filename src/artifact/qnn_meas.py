@@ -9,9 +9,9 @@ prediction thresholds the regression score at 1/2.
 Features come from closed forms that never build the 4^n-dimensional pair
 state: every pool observable acts on a product of real states, so its
 expectation reduces to dot products on the two 2^n-dimensional register
-vectors (Walsh-Hadamard transforms included). Every Hermitian pool entry
-has one. structured_features, which applies each observable to the
-explicit product state via the simulator, is their oracle in the tests.
+vectors (Walsh-Hadamard transforms included). Every pool entry has one.
+structured_features, which applies each observable to the explicit
+product state via the simulator, is their oracle in the tests.
 """
 
 from __future__ import annotations
@@ -71,16 +71,13 @@ def _fast_feature(name: str, a1: np.ndarray, a2: np.ndarray, n: int) -> float:
 
 
 def _pair_features(x1, x2, pool: OperatorPool, feature) -> np.ndarray:
-    """feature(entry, a1, a2) for every pool observable, after the checks."""
+    """feature(entry, a1, a2) for every pool observable."""
     a1 = phase_state(as_bits(x1))
     a2 = phase_state(as_bits(x2))
     if a1.size != 2 ** pool.n or a2.size != 2 ** pool.n:
         raise ValueError("barcode length does not match the pool register size")
     out = np.empty(len(pool.entries))
     for k, entry in enumerate(pool.entries):
-        if not entry.usable_as_observable:
-            raise ValueError(f"pool entry {entry.name!r} is not Hermitian and "
-                             "cannot be used as an observable")
         out[k] = feature(entry, a1, a2)
     return out
 

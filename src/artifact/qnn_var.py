@@ -43,7 +43,7 @@ from .statevec import (
     product_state,
     signed_permutation,
 )
-from .symmetry import OperatorPool, PoolEntry, require_observable
+from .symmetry import OperatorPool, PoolEntry
 
 DEFAULT_GENERATORS = ("sum_y", "sum_xx", "sum_yy", "swap")
 DEFAULT_LAYERS = 3
@@ -80,14 +80,7 @@ def init_params(spec: AnsatzSpec, rng) -> QnnUParams:
 
 
 def generator_entries(pool: OperatorPool, spec: AnsatzSpec):
-    entries = []
-    for name in spec.generator_names:
-        entry = pool.entry(name)
-        if not entry.usable_as_generator:
-            raise ValueError(f"pool entry {name!r} cannot be used as a "
-                             "generator (not Hermitian)")
-        entries.append(entry)
-    return entries
+    return [pool.entry(name) for name in spec.generator_names]
 
 
 def encode_pairs(samples, n: int) -> np.ndarray:
@@ -103,9 +96,6 @@ def apply_exp_generator(states: np.ndarray, entry: PoolEntry, theta: float,
     Every factor goes through apply_observable: this is the reference that
     the precomputed factors of apply_ansatz are tested against.
     """
-    if not entry.exp_terms:
-        raise ValueError(f"pool entry {entry.name!r} has no exponential "
-                         "structure")
     v = np.asarray(states, dtype=complex)
     for term in entry.exp_terms:
         v = math.cos(theta) * v - 1j * math.sin(theta) * apply_observable(v, term, n)
@@ -147,9 +137,6 @@ def ansatz_factors(pool: OperatorPool, spec: AnsatzSpec) -> tuple:
     """
     actions = []
     for entry in generator_entries(pool, spec):
-        if not entry.exp_terms:
-            raise ValueError(f"pool entry {entry.name!r} has no exponential "
-                             "structure")
         actions.append([(term, signed_permutation(term, pool.n)
                          or (None, None, 1.0))
                         for term in entry.exp_terms])
@@ -305,7 +292,7 @@ def train_qnn_u(train_samples, pool: OperatorPool, spec: AnsatzSpec = None,
     """
     if spec is None:
         spec = AnsatzSpec()
-    observable = require_observable(pool, observable_name)
+    observable = pool.entry(observable_name)
     factors = ansatz_factors(pool, spec)
     init = init_params(spec, np.random.default_rng(seed))
     states = encode_pairs(train_samples, pool.n)

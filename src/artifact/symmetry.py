@@ -9,16 +9,19 @@ Two symmetry representations act on the 2n-qubit pair register:
   picks up a global sign; the Y-string is the operator-level
   representation that every pool entry must commute with).
 
-The pool is a fixed, named, ordered list of structured operators, each
-validated numerically (densely, at a small register size) for Hermiticity
-and for commutation with both representations. Nearest-neighbour two-qubit
-sums run within each register (open line, i and i+1 in the same register):
-sums crossing the register boundary do not commute with the exchange
-network and would break equivariance.
+The pool is a fixed, named, ordered list of ten structured operators.
+build_pool is the one place that certifies them: it checks each family
+numerically (densely, at a small register size) for Hermiticity and for
+commutation with both representations, and raises on any failure, so every
+entry it returns serves both as an ansatz generator and as a measured
+observable. Nearest-neighbour two-qubit sums run within each register
+(open line, i and i+1 in the same register): sums crossing the register
+boundary do not commute with the exchange network and would break
+equivariance.
 
-Each Hermitian entry also carries its exponentiation structure: a list of
-mutually commuting involutory factors T_k with entry = sum_k T_k (or a
-single involutory product), so exp(-i theta G) = prod_k (cos theta I -
+Each entry also carries its exponentiation structure: a list of mutually
+commuting involutory factors T_k with entry = sum_k T_k (or the single
+involutory product itself), so exp(-i theta G) = prod_k (cos theta I -
 i sin theta T_k) exactly. This is what the variational ansatz uses.
 """
 
@@ -39,8 +42,6 @@ from .statevec import (
     product_state,
 )
 
-DEFAULT_POOL_SIZE = 10
-POOL_CAPACITY = 11
 VALIDATION_N = 2  # register size for dense certification
 
 
@@ -54,9 +55,7 @@ class SymmetryRep:
 class PoolEntry:
     name: str
     expr: ObservableExpr
-    exp_terms: tuple  # commuting involutory ObservableExprs summing to expr, or ()
-    usable_as_generator: bool
-    usable_as_observable: bool
+    exp_terms: tuple  # commuting involutory ObservableExprs summing to expr
 
 
 @dataclass(frozen=True)
@@ -72,9 +71,6 @@ class OperatorPool:
             if e.name == name:
                 return e
         raise KeyError(f"no pool entry named {name!r}")
-
-    def observables(self):
-        return [e for e in self.entries if e.usable_as_observable]
 
 
 def exchange_rep(n: int) -> SymmetryRep:
@@ -113,43 +109,30 @@ def _register_nn_sum(letter: str, n: int) -> PauliSum:
     return PauliSum(tuple(terms))
 
 
-def _sum_exp_terms(psum: PauliSum, name: str):
-    """One involutory single-string expr per term (coefficients are all 1)."""
-    return tuple(
-        ObservableExpr(f"{name}[{i}]", (s,)) for i, (_, s) in enumerate(psum.terms)
-    )
-
-
 def _pool_candidates(n: int):
-    """The documented default ordering, then the non-Hermitian 11th candidate."""
-    nq = 2 * n
-    sum_y = _single_site_sum("Y", n)
-    sum_xx = _register_nn_sum("X", n)
-    sum_yy = _register_nn_sum("Y", n)
-    sum_zz = _register_nn_sum("Z", n)
-    x_all = PauliString("X" * nq)
-    z_all = PauliString("Z" * nq)
-
-    def expr(name, *factors):
-        return ObservableExpr(name, tuple(factors))
-
-    entries = [
-        ("sum_y", expr("sum_y", sum_y), _sum_exp_terms(sum_y, "sum_y")),
-        ("sum_xx", expr("sum_xx", sum_xx), _sum_exp_terms(sum_xx, "sum_xx")),
-        ("sum_yy", expr("sum_yy", sum_yy), _sum_exp_terms(sum_yy, "sum_yy")),
-        ("sum_zz", expr("sum_zz", sum_zz), _sum_exp_terms(sum_zz, "sum_zz")),
-        ("x_all", expr("x_all", x_all), (expr("x_all", x_all),)),
-        ("z_all", expr("z_all", z_all), (expr("z_all", z_all),)),
-        ("swap", expr("swap", SwapNetwork()), (expr("swap", SwapNetwork()),)),
-        ("wht_all", expr("wht_all", GlobalWHT()), (expr("wht_all", GlobalWHT()),)),
-        ("swap_x_all", expr("swap_x_all", SwapNetwork(), x_all),
-         (expr("swap_x_all", SwapNetwork(), x_all),)),
-        ("swap_wht", expr("swap_wht", SwapNetwork(), GlobalWHT()),
-         (expr("swap_wht", SwapNetwork(), GlobalWHT()),)),
-        # symmetry-commuting but non-Hermitian; kept to prove validation bites
-        ("wht_z_all", expr("wht_z_all", GlobalWHT(), z_all), ()),
+    """The documented ordering as (name, factors) pairs."""
+    x_all = PauliString("X" * 2 * n)
+    return [
+        ("sum_y", (_single_site_sum("Y", n),)),
+        ("sum_xx", (_register_nn_sum("X", n),)),
+        ("sum_yy", (_register_nn_sum("Y", n),)),
+        ("sum_zz", (_register_nn_sum("Z", n),)),
+        ("x_all", (x_all,)),
+        ("z_all", (PauliString("Z" * 2 * n),)),
+        ("swap", (SwapNetwork(),)),
+        ("wht_all", (GlobalWHT(),)),
+        ("swap_x_all", (SwapNetwork(), x_all)),
+        ("swap_wht", (SwapNetwork(), GlobalWHT())),
     ]
-    return entries
+
+
+def _exp_terms(expr: ObservableExpr) -> tuple:
+    """One single-string term per Pauli-sum term (coefficients are all 1),
+    otherwise the involutory entry itself."""
+    if len(expr.factors) == 1 and isinstance(expr.factors[0], PauliSum):
+        return tuple(ObservableExpr(f"{expr.name}[{i}]", (s,))
+                     for i, (_, s) in enumerate(expr.factors[0].terms))
+    return (expr,)
 
 
 def is_hermitian_dense(expr: ObservableExpr, n_check: int = VALIDATION_N,
@@ -174,47 +157,30 @@ def check_equivariance(expr: ObservableExpr, reps=None,
     return worst
 
 
-def build_pool(n: int, K: int = DEFAULT_POOL_SIZE,
-               tol: float = 1e-10) -> OperatorPool:
-    """First K entries of the documented ordering, validated densely.
+def build_pool(n: int, tol: float = 1e-10) -> OperatorPool:
+    """The ten documented entries at register size n, certified densely.
 
     Hermiticity and equivariance are certified on the n_check=2 instance of
     each operator family (the families are index-uniform in n, so the small
-    instance certifies the construction); entries are then instantiated at
-    the requested n.
+    instance certifies the construction); a failing entry raises ValueError
+    naming it. Every returned entry is therefore usable both as an ansatz
+    generator and as a measured observable.
     """
     if n < 2:
         raise ValueError("pool requires n >= 2 (nearest-neighbour sums)")
-    if K < 1 or K > POOL_CAPACITY:
-        raise ValueError(f"K must be in 1..{POOL_CAPACITY}")
-    small = _pool_candidates(VALIDATION_N)
-    full = _pool_candidates(n)
     reps_small = symmetry_reps(VALIDATION_N)
-    entries = []
-    for (name, expr_small, _), (name2, expr_full, exp_terms) in zip(small, full):
-        assert name == name2
-        herm = is_hermitian_dense(expr_small, VALIDATION_N, tol)
+    for name, factors in _pool_candidates(VALIDATION_N):
+        expr_small = ObservableExpr(name, factors)
+        if not is_hermitian_dense(expr_small, VALIDATION_N, tol):
+            raise ValueError(f"pool entry {name!r} is not Hermitian")
         comm = check_equivariance(expr_small, reps_small, VALIDATION_N)
         if comm > tol:
             raise ValueError(f"pool entry {name!r} is not equivariant "
                              f"(commutator norm {comm:.3e})")
-        entries.append(PoolEntry(
-            name=name,
-            expr=expr_full,
-            exp_terms=exp_terms if herm else (),
-            usable_as_generator=herm,
-            usable_as_observable=herm,
-        ))
-    return OperatorPool(n, tuple(entries[:K]))
-
-
-def require_observable(pool: OperatorPool, name: str) -> PoolEntry:
-    """Fetch an entry for use as an observable; rejects non-Hermitian ones."""
-    entry = pool.entry(name)
-    if not entry.usable_as_observable:
-        raise ValueError(f"pool entry {name!r} is not Hermitian and cannot "
-                         "be used as an observable")
-    return entry
+    exprs = [ObservableExpr(name, factors)
+             for name, factors in _pool_candidates(n)]
+    return OperatorPool(n, tuple(PoolEntry(e.name, e, _exp_terms(e))
+                                 for e in exprs))
 
 
 def check_invariance_conditions(n_check: int = VALIDATION_N, n_pairs: int = 50,
@@ -258,9 +224,9 @@ def check_invariance_conditions(n_check: int = VALIDATION_N, n_pairs: int = 50,
     results["encoding_exchange"] = worst_ex
     results["encoding_complement"] = worst_co
 
-    pool = build_pool(n_check, DEFAULT_POOL_SIZE)
+    pool = build_pool(n_check)
     worst_obs = 0.0
-    for entry in pool.observables():
+    for entry in pool.entries:
         M = dense_observable(entry.expr, n_check)
         for rep in symmetry_reps(n_check):
             U = dense_observable(rep.expr, n_check)

@@ -375,6 +375,21 @@ def test_cli_run_rejects_unknown_config_key(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("trials", "3"), ("epsilon", "0.1"), ("per_class_counts", 5), ("n", 4.5),
+    ("trials", True), ("models", "qnn_m"),
+])
+def test_cli_run_rejects_wrongly_typed_config_field(tmp_path, capsys, field,
+                                                    value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "fig3", "n": 3, "trials": 1,
+                               "models": ["qnn_m"], field: value}))
+    code = main(["run", "--experiment", "fig3", "--config", str(cfg),
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_summarize_round_trip(tmp_path, capsys):
     path = tmp_path / "r.csv"
     emit_csv([make_record(trial=t, epoch=e, test_acc=0.9)

@@ -18,7 +18,7 @@ from artifact.qnn_meas import (
     structured_features,
 )
 from artifact.statevec import forrelation
-from artifact.symmetry import POOL_CAPACITY, build_pool
+from artifact.symmetry import build_pool
 
 
 def random_pair(rng, n):
@@ -81,13 +81,6 @@ def test_feature_rows_invariant_under_exchange_and_complement():
                                    atol=1e-12)
         np.testing.assert_allclose(extract_features(1 - x1, 1 - x2, pool),
                                    base, atol=1e-12)
-
-
-def test_extract_rejects_non_observable_entry():
-    pool = build_pool(2, K=POOL_CAPACITY)
-    x = np.array([0, 1, 0, 0], dtype=np.uint8)
-    with pytest.raises(ValueError, match="not Hermitian"):
-        extract_features(x, x, pool)
 
 
 def test_extract_rejects_length_mismatch():

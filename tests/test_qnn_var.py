@@ -39,7 +39,7 @@ POOL4 = build_pool(4)
 # the default readout commutes with every generator (zero angle gradient);
 # the other two do not, so the gradient oracles compare nonzero values
 READOUTS = ("swap", "sum_zz", "swap_wht")
-ALL_GENERATORS = tuple(e.name for e in POOL2.entries if e.usable_as_generator)
+ALL_GENERATORS = tuple(POOL2.names())
 
 
 def random_state(rng, dim):

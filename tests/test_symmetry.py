@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from artifact import symmetry
 from artifact.statevec import (
+    GlobalWHT,
     ObservableExpr,
     PauliString,
     dense_observable,
@@ -12,15 +14,12 @@ from artifact.statevec import (
     product_state,
 )
 from artifact.symmetry import (
-    DEFAULT_POOL_SIZE,
-    POOL_CAPACITY,
     build_pool,
     check_equivariance,
     check_invariance_conditions,
     complement_rep,
     exchange_rep,
     is_hermitian_dense,
-    require_observable,
     symmetry_reps,
 )
 
@@ -28,6 +27,11 @@ EXPECTED_ORDER = [
     "sum_y", "sum_xx", "sum_yy", "sum_zz", "x_all",
     "z_all", "swap", "wht_all", "swap_x_all", "swap_wht",
 ]
+
+
+def wht_z_all(n):
+    """H^(x)2n . Z^(x)2n: commutes with both reps but is not Hermitian."""
+    return ObservableExpr("wht_z_all", (GlobalWHT(), PauliString("Z" * 2 * n)))
 
 
 def random_state(rng, dim):
@@ -107,16 +111,6 @@ def test_crossing_boundary_xx_is_not_equivariant():
 def test_pool_default_order_and_size():
     pool = build_pool(3)
     assert pool.names() == EXPECTED_ORDER
-    assert len(pool.entries) == DEFAULT_POOL_SIZE
-
-
-def test_pool_capacity_includes_non_hermitian_entry():
-    pool = build_pool(2, K=POOL_CAPACITY)
-    assert pool.names()[-1] == "wht_z_all"
-    last = pool.entry("wht_z_all")
-    assert not last.usable_as_observable
-    assert not last.usable_as_generator
-    assert last.exp_terms == ()
 
 
 def test_all_default_entries_hermitian_and_equivariant():
@@ -124,46 +118,37 @@ def test_all_default_entries_hermitian_and_equivariant():
     for entry in pool.entries:
         assert is_hermitian_dense(entry.expr, 2), entry.name
         assert check_equivariance(entry.expr, n_check=2) <= 1e-10, entry.name
-        assert entry.usable_as_observable
-        assert entry.usable_as_generator
 
 
 def test_wht_z_all_really_is_non_hermitian():
-    pool = build_pool(2, K=POOL_CAPACITY)
-    M = dense_observable(pool.entry("wht_z_all").expr, 2)
+    M = dense_observable(wht_z_all(2), 2)
     assert np.max(np.abs(M - M.conj().T)) > 0.4
 
 
-def test_require_observable_rejects_non_hermitian():
-    pool = build_pool(2, K=POOL_CAPACITY)
-    with pytest.raises(ValueError, match="not Hermitian"):
-        require_observable(pool, "wht_z_all")
-    entry = require_observable(pool, "swap_wht")
-    assert entry.name == "swap_wht"
-
-
 def test_non_hermitian_entry_rejected_as_expectation():
-    pool = build_pool(2, K=POOL_CAPACITY)
     rng = np.random.default_rng(0)
     st = random_state(rng, 16)
     with pytest.raises(ValueError, match="not Hermitian"):
-        expectation(st, pool.entry("wht_z_all").expr, 2)
+        expectation(st, wht_z_all(2), 2)
+
+
+@pytest.mark.parametrize("name, factors, message", [
+    ("wht_z_all", lambda n: wht_z_all(n).factors,
+     "'wht_z_all' is not Hermitian"),
+    ("x0", lambda n: (PauliString("X" + "I" * (2 * n - 1)),),
+     "'x0' is not equivariant"),
+])
+def test_build_pool_rejects_bad_candidate(monkeypatch, name, factors, message):
+    good = symmetry._pool_candidates
+    monkeypatch.setattr(symmetry, "_pool_candidates",
+                        lambda n: good(n) + [(name, factors(n))])
+    with pytest.raises(ValueError, match=message):
+        build_pool(3)
 
 
 def test_pool_k_bounds():
     with pytest.raises(ValueError):
-        build_pool(2, K=0)
-    with pytest.raises(ValueError):
-        build_pool(2, K=POOL_CAPACITY + 1)
-    with pytest.raises(ValueError):
         build_pool(1)
-
-
-def test_pool_truncation_is_prefix():
-    full = build_pool(2, K=POOL_CAPACITY)
-    for k in (1, 4, 10):
-        sub = build_pool(2, K=k)
-        assert sub.names() == full.names()[:k]
 
 
 def test_exp_terms_sum_to_entry():
@@ -202,9 +187,10 @@ def test_nn_sums_stay_within_registers():
 
 def test_product_closure_spot_checks():
     """Products of equivariant operators stay equivariant (spot checks)."""
-    pool = build_pool(2, K=POOL_CAPACITY)
-    for name in ("swap_x_all", "swap_wht", "wht_z_all"):
-        assert check_equivariance(pool.entry(name).expr, n_check=2) <= 1e-10
+    pool = build_pool(2)
+    for expr in (pool.entry("swap_x_all").expr, pool.entry("swap_wht").expr,
+                 wht_z_all(2)):
+        assert check_equivariance(expr, n_check=2) <= 1e-10
 
 
 # ------------------------------------------- model-invariance conditions
