@@ -5,7 +5,8 @@ distance d between the embeddings feeds a scalar head, and the whole model
 is trained on the MSE between the head output and the 0/1 label:
 
 - "logistic" head (default): y_hat = sigmoid(w d + c);
-- "exp" head (config alternative): y_hat = 1 - exp(-d), parameter-free.
+- "exp" head (the head argument of SiameseModel and train_siamese; no
+  experiment config selects it): y_hat = 1 - exp(-d), parameter-free.
 
 Encoders:
 

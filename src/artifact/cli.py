@@ -6,8 +6,8 @@ Subcommands:
 - run:            run one experiment from a JSON config; write CSV (figures)
                   or a JSON report (oracle).
 - summarize:      aggregate a results CSV into per-(model, n, M) accuracy.
-- validate-pool:  rebuild the operator pool at a given register size and run
-                  the dense invariance checks.
+- validate-pool:  rebuild the operator pool at a given register size (2 or
+                  3) and run the dense invariance checks at that size.
 
 Exit codes: 0 on success, 1 on a validation/configuration error, 2 on an
 unexpected runtime failure.
@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate-pool",
                            help="dense symmetry checks for the operator pool")
     p_val.add_argument("--n", type=int, required=True,
-                       help="qubits per register")
+                       help="qubits per register (2 or 3)")
     return parser
 
 
@@ -131,6 +131,7 @@ def _cmd_validate_pool(args) -> int:
     if args.n < 2:
         raise ConfigError("--n must be >= 2")
     report = validate_pool_report(args.n)
+    print(f"operator pool and dense checks at n={report['n']}:")
     for name in report["entries"]:
         print(f"  {name}")
     conditions = report["invariance_conditions"]

@@ -33,6 +33,8 @@ import numpy as np
 
 from .statevec import as_bits, bits_to_string, fwht
 
+ROUNDING_MODES = ("sign", "randomized")
+PARTNER_MODES = ("encoded", "gaussian")
 DEFAULT_ROUNDING = "sign"
 DEFAULT_PARTNER = "encoded"
 

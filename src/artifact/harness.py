@@ -44,6 +44,8 @@ from .classical import MlpSpec, cnn_spec_for, train_siamese
 from .dataset import (
     DEFAULT_PARTNER,
     DEFAULT_ROUNDING,
+    PARTNER_MODES,
+    ROUNDING_MODES,
     Dataset,
     default_epsilon,
     generate_dataset,
@@ -63,12 +65,6 @@ from .symmetry import build_pool, check_invariance_conditions
 CSV_HEADER = ("trial", "model", "n", "M", "epoch", "train_loss",
               "train_acc", "test_acc", "seed", "wall_ms")
 EXPERIMENTS = ("fig3", "fig4", "fig5", "oracle")
-EXPERIMENT_ALIASES = {
-    "fig3_compare": "fig3",
-    "fig4_samples": "fig4",
-    "fig5_scaling": "fig5",
-    "oracle_check": "oracle",
-}
 KNOWN_MODELS = ("qnn_m", "qnn_u", "dnn", "cnn")
 ORACLE_IDENTITY_SIZES = (2, 3, 5)
 ORACLE_PAIRS_PER_SIZE = 100
@@ -131,7 +127,6 @@ def _has_type(value, kind) -> bool:
 
 
 def make_config(experiment: str, **overrides) -> ExperimentConfig:
-    experiment = EXPERIMENT_ALIASES.get(experiment, experiment)
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}; expected one "
                           f"of {', '.join(EXPERIMENTS)}")
@@ -200,6 +195,11 @@ def _validate_config(c: ExperimentConfig) -> None:
         raise ConfigError("epochs must be >= 1")
     if c.lr is not None and c.lr < 0:
         raise ConfigError("lr must be nonnegative")
+    for name, modes in (("rounding", ROUNDING_MODES),
+                        ("partner", PARTNER_MODES)):
+        if getattr(c, name) not in modes:
+            raise ConfigError(f"unknown {name} mode {getattr(c, name)!r}; "
+                              f"expected one of {', '.join(modes)}")
 
 
 @dataclass(frozen=True)
@@ -572,9 +572,9 @@ def format_summary(table) -> str:
 
 
 def validate_pool_report(n: int) -> dict:
-    """Pool build + dense invariance checks, as a printable report."""
+    """Pool build + dense invariance checks at n (2 or 3), as a report."""
+    conditions = check_invariance_conditions(n_check=n)
     pool = _operator_pool(n)
-    conditions = check_invariance_conditions()
     return {
         "n": n,
         "entries": pool.names(),

@@ -10,8 +10,8 @@ Features come from closed forms that never build the 4^n-dimensional pair
 state: every pool observable acts on a product of real states, so its
 expectation reduces to dot products on the two 2^n-dimensional register
 vectors (Walsh-Hadamard transforms included). Every pool entry has one.
-structured_features, which applies each observable to the explicit
-product state via the simulator, is their oracle in the tests.
+The tests check them against every observable applied to the explicit
+product state by the simulator (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import as_bits, expectation, fwht, phase_state, product_state
+from .statevec import fwht, phase_state
 from .symmetry import OperatorPool
 
 DEFAULT_LAMBDA = 0.03
@@ -70,28 +70,14 @@ def _fast_feature(name: str, a1: np.ndarray, a2: np.ndarray, n: int) -> float:
     raise ValueError(f"pool entry {name!r} has no closed-form feature")
 
 
-def _pair_features(x1, x2, pool: OperatorPool, feature) -> np.ndarray:
-    """feature(entry, a1, a2) for every pool observable."""
-    a1 = phase_state(as_bits(x1))
-    a2 = phase_state(as_bits(x2))
-    if a1.size != 2 ** pool.n or a2.size != 2 ** pool.n:
-        raise ValueError("barcode length does not match the pool register size")
-    out = np.empty(len(pool.entries))
-    for k, entry in enumerate(pool.entries):
-        out[k] = feature(entry, a1, a2)
-    return out
-
-
 def extract_features(x1, x2, pool: OperatorPool) -> np.ndarray:
     """Feature vector (one entry per pool observable) for a barcode pair."""
-    return _pair_features(x1, x2, pool, lambda entry, a1, a2:
-                          _fast_feature(entry.name, a1, a2, pool.n))
-
-
-def structured_features(x1, x2, pool: OperatorPool) -> np.ndarray:
-    """extract_features through the simulator: the closed forms' oracle."""
-    return _pair_features(x1, x2, pool, lambda entry, a1, a2: expectation(
-        product_state(a1, a2), entry.expr, pool.n))
+    a1 = phase_state(x1)
+    a2 = phase_state(x2)
+    if a1.size != 2 ** pool.n or a2.size != 2 ** pool.n:
+        raise ValueError("barcode length does not match the pool register size")
+    return np.array([_fast_feature(entry.name, a1, a2, pool.n)
+                     for entry in pool.entries])
 
 
 def extract_feature_matrix(samples, pool: OperatorPool) -> np.ndarray:
@@ -133,12 +119,6 @@ class LassoModel:
     def nonzero_features(self):
         return [name for name, a in zip(self.feature_names, self.alpha)
                 if a != 0.0]
-
-
-def lasso_objective(Z, y, alpha, intercept, lam) -> float:
-    r = y - intercept - Z @ alpha
-    M = y.size
-    return float(0.5 / M * np.dot(r, r) + lam * np.sum(np.abs(alpha)))
 
 
 def lasso_fit(features: np.ndarray, labels: np.ndarray, feature_names=None,
@@ -203,13 +183,6 @@ def lasso_scores(model: LassoModel, features: np.ndarray) -> np.ndarray:
 def lasso_predict(model: LassoModel, features: np.ndarray) -> np.ndarray:
     """Class labels: score above 1/2 predicts class 1."""
     return (lasso_scores(model, features) > 0.5).astype(int)
-
-
-def lambda_max(features: np.ndarray, labels: np.ndarray) -> float:
-    """Smallest lam at which the fitted weight vector is identically zero."""
-    Z = standardize(np.asarray(features, dtype=float))[0]
-    y = np.asarray(labels, dtype=float)
-    return float(np.max(np.abs(Z.T @ (y - y.mean()))) / y.size)
 
 
 # -------------------------------------------------------- serialization

@@ -15,11 +15,11 @@ is precomputed once per training run as T v = phase * sign * v[src].
 The readout is an affine-rescaled pool-observable expectation
 y_hat = a <O> + b trained by MSE against the 0/1 class labels with Adam
 (optim.fit).
-Angle gradients come from an exact adjoint sweep by default: one forward
-pass, then one backward pass that un-applies each factor (Jones & Gacon,
-arXiv:2009.02823). Central finite differences and the parameter-shift rule
-(each commuting factor shifted by +-pi/4) remain as its oracles in the test
-suite. The (a, b) gradients are analytic.
+Angle gradients come from an exact adjoint sweep: one forward pass, then
+one backward pass that un-applies each factor (Jones & Gacon,
+arXiv:2009.02823). The (a, b) gradients are analytic. The test suite checks
+the circuit against a term-by-term reference chain and the adjoint against
+central finite differences and the parameter-shift rule (tests/oracles.py).
 
 The default `swap` readout commutes with every generator, so the angles
 cannot change any prediction and their gradient is identically zero: with
@@ -49,8 +49,6 @@ DEFAULT_GENERATORS = ("sum_y", "sum_xx", "sum_yy", "swap")
 DEFAULT_LAYERS = 3
 DEFAULT_EPOCHS = 200
 DEFAULT_LR = 0.1
-FD_STEP = 1e-4
-GRAD_METHODS = ("adjoint", "fd", "shift")
 
 
 @dataclass(frozen=True)
@@ -89,32 +87,18 @@ def encode_pairs(samples, n: int) -> np.ndarray:
     return np.asarray(cols, dtype=complex).T
 
 
-def apply_exp_generator(states: np.ndarray, entry: PoolEntry, theta: float,
-                        n: int) -> np.ndarray:
-    """Apply exp(-i theta G) for G = sum of commuting involutory factors.
-
-    Every factor goes through apply_observable: this is the reference that
-    the precomputed factors of apply_ansatz are tested against.
-    """
-    v = np.asarray(states, dtype=complex)
-    for term in entry.exp_terms:
-        v = math.cos(theta) * v - 1j * math.sin(theta) * apply_observable(v, term, n)
-    return v
-
-
 @dataclass(frozen=True, eq=False)
 class Factor:
     """One involutory factor T of the circuit, applied as cos - i sin T.
 
-    param indexes its angle and term its place in the generator's
-    exp_terms. T v = phase * unphased(v): for a signed permutation the
-    scalar phase is a power of i and unphased(v) = sign * v[src], both
-    precomputed; otherwise src is None, phase is 1 and T goes through
-    apply_observable. Callers fold phase into their scalar coefficients.
+    param indexes its angle. T v = phase * unphased(v): for a signed
+    permutation the scalar phase is a power of i and unphased(v) =
+    sign * v[src], both precomputed; otherwise src is None, phase is 1 and
+    T goes through apply_observable. Callers fold phase into their scalar
+    coefficients.
     """
 
     param: int
-    term: int
     expr: ObservableExpr
     n: int
     src: np.ndarray = None
@@ -144,18 +128,16 @@ def ansatz_factors(pool: OperatorPool, spec: AnsatzSpec) -> tuple:
     k = 0
     for _layer in range(spec.layers):
         for terms in actions:
-            factors.extend(Factor(k, j, term, pool.n, *action)
-                           for j, (term, action) in enumerate(terms))
+            factors.extend(Factor(k, term, pool.n, *action)
+                           for term, action in terms)
             k += 1
     return tuple(factors)
 
 
 def apply_ansatz(states: np.ndarray, thetas: np.ndarray, pool: OperatorPool,
-                 spec: AnsatzSpec, shift_at=None, factors=None) -> np.ndarray:
-    """Full layered circuit; shift_at = (param_idx, term_idx, delta) or None.
-
-    factors, from ansatz_factors(pool, spec), spares rebuilding them.
-    """
+                 spec: AnsatzSpec, factors=None) -> np.ndarray:
+    """Full layered circuit; factors, from ansatz_factors(pool, spec),
+    spares rebuilding them."""
     thetas = np.asarray(thetas, dtype=float)
     if thetas.size != spec.param_count():
         raise ValueError("theta vector length does not match the ansatz")
@@ -164,51 +146,20 @@ def apply_ansatz(states: np.ndarray, thetas: np.ndarray, pool: OperatorPool,
     v = np.asarray(states, dtype=complex)
     for f in factors:
         ang = float(thetas[f.param])
-        if shift_at is not None and (f.param, f.term) == shift_at[:2]:
-            ang += shift_at[2]
         v = math.cos(ang) * v - 1j * math.sin(ang) * f.phase * f.unphased(v)
     return v
-
-
-def expectations(states: np.ndarray, thetas: np.ndarray, pool: OperatorPool,
-                 spec: AnsatzSpec, observable: PoolEntry,
-                 shift_at=None, factors=None) -> np.ndarray:
-    v = apply_ansatz(states, thetas, pool, spec, shift_at, factors)
-    return expectation_batch(v, observable.expr, pool.n)
 
 
 def model_eval(states: np.ndarray, params: QnnUParams, pool: OperatorPool,
                spec: AnsatzSpec, observable: PoolEntry,
                factors=None) -> np.ndarray:
-    h = expectations(states, params.thetas, pool, spec, observable,
-                     factors=factors)
-    return params.a * h + params.b
+    v = apply_ansatz(states, params.thetas, pool, spec, factors)
+    return params.a * expectation_batch(v, observable.expr, pool.n) + params.b
 
 
 def mse_loss(preds: np.ndarray, labels: np.ndarray) -> float:
     d = np.asarray(preds) - np.asarray(labels)
     return float(np.mean(d * d))
-
-
-def shift_gradient_h(states: np.ndarray, thetas: np.ndarray,
-                     pool: OperatorPool, spec: AnsatzSpec,
-                     observable: PoolEntry, k: int,
-                     factors=None) -> np.ndarray:
-    """Exact d<O>/d theta_k per sample via the parameter-shift rule.
-
-    For an angle shared by L commuting involutory factors, the derivative is
-    the sum over factors of [h(factor angle + pi/4) - h(factor angle - pi/4)].
-    """
-    entries = generator_entries(pool, spec)
-    entry = entries[k % len(entries)]
-    total = np.zeros(states.shape[1] if states.ndim > 1 else 1)
-    for j in range(len(entry.exp_terms)):
-        plus = expectations(states, thetas, pool, spec, observable,
-                            shift_at=(k, j, math.pi / 4), factors=factors)
-        minus = expectations(states, thetas, pool, spec, observable,
-                             shift_at=(k, j, -math.pi / 4), factors=factors)
-        total = total + (plus - minus)
-    return total
 
 
 def adjoint_angle_gradient(phi: np.ndarray, lam: np.ndarray,
@@ -235,50 +186,22 @@ def adjoint_angle_gradient(phi: np.ndarray, lam: np.ndarray,
 
 def loss_and_gradient(states: np.ndarray, labels: np.ndarray,
                       params: QnnUParams, pool: OperatorPool,
-                      spec: AnsatzSpec, observable: PoolEntry,
-                      grad_method: str = "adjoint", factors=None):
+                      spec: AnsatzSpec, observable: PoolEntry, factors=None):
     """Returns (loss, grad_thetas, grad_a, grad_b, preds).
 
-    "adjoint" costs about three circuit passes for all angles; "fd" (two
-    passes per angle) and "shift" (two per factor) are its test oracles.
+    The adjoint sweep costs about three circuit passes for all angles.
     """
-    if grad_method not in GRAD_METHODS:
-        raise ValueError(f"unknown grad_method {grad_method!r}")
     if factors is None:
         factors = ansatz_factors(pool, spec)
     y = np.asarray(labels, dtype=float)
-    M = y.size
-    phi = apply_ansatz(states, params.thetas, pool, spec, factors=factors)
+    phi = apply_ansatz(states, params.thetas, pool, spec, factors)
     h = expectation_batch(phi, observable.expr, pool.n)
     preds = params.a * h + params.b
-    loss = mse_loss(preds, y)
-    dz = 2.0 * (preds - y) / M  # dL/dpreds
-    grad_a = float(np.dot(dz, h))
-    grad_b = float(np.sum(dz))
-    if grad_method == "adjoint":
-        lam = apply_observable(phi, observable.expr, pool.n) * (params.a * dz)
-        gt = adjoint_angle_gradient(phi, lam, params.thetas, factors)
-        return loss, gt, grad_a, grad_b, preds
-    gt = np.zeros_like(params.thetas)
-    if grad_method == "fd":
-        for k in range(gt.size):
-            tp = params.thetas.copy()
-            tm = params.thetas.copy()
-            tp[k] += FD_STEP
-            tm[k] -= FD_STEP
-            lp = mse_loss(params.a * expectations(
-                states, tp, pool, spec, observable, factors=factors)
-                + params.b, y)
-            lm = mse_loss(params.a * expectations(
-                states, tm, pool, spec, observable, factors=factors)
-                + params.b, y)
-            gt[k] = (lp - lm) / (2.0 * FD_STEP)
-    else:
-        for k in range(gt.size):
-            dh = shift_gradient_h(states, params.thetas, pool, spec,
-                                  observable, k, factors)
-            gt[k] = params.a * float(np.dot(dz, dh))
-    return loss, gt, grad_a, grad_b, preds
+    dz = 2.0 * (preds - y) / y.size  # dL/dpreds
+    lam = apply_observable(phi, observable.expr, pool.n) * (params.a * dz)
+    gt = adjoint_angle_gradient(phi, lam, params.thetas, factors)
+    return (mse_loss(preds, y), gt, float(np.dot(dz, h)), float(np.sum(dz)),
+            preds)
 
 
 def train_qnn_u(train_samples, pool: OperatorPool, spec: AnsatzSpec = None,

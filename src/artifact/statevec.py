@@ -38,15 +38,16 @@ def as_bits(x) -> np.ndarray:
             raise ValueError(f"barcode string contains non-binary characters: {x!r}")
         bits = np.frombuffer(x.encode(), dtype=np.uint8) - ord("0")
     else:
-        bits = np.asarray(x, dtype=np.uint8)
+        bits = np.asarray(x)
     if bits.ndim != 1:
         raise ValueError("barcode must be one-dimensional")
     n = int(bits.size)
     if n < 2 or (n & (n - 1)) != 0:
         raise ValueError(f"barcode length must be a power of two >= 2, got {n}")
+    # checked before the cast, which would truncate 0.5 and wrap -1
     if not np.all((bits == 0) | (bits == 1)):
         raise ValueError("barcode entries must be 0 or 1")
-    return bits
+    return bits.astype(np.uint8, copy=False)
 
 
 def bits_to_string(bits: np.ndarray) -> str:
@@ -99,25 +100,14 @@ def fwht(a: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.moveaxis(b.reshape((K,) + tail), 0, axis)
 
 
-def apply_wht(state: np.ndarray, n: int, which: str = "both") -> np.ndarray:
-    """Walsh-Hadamard on a register subset of a 2n-qubit state.
-
-    which: "register1" (n most significant qubits), "register2", or "both".
-    state: shape (4**n,) or (4**n, S).
-    """
+def apply_wht(state: np.ndarray, n: int) -> np.ndarray:
+    """H^(x)2n on a 2n-qubit state of shape (4**n,) or (4**n, S)."""
     state = np.asarray(state)
     D = 2 ** (2 * n)
     if state.shape[0] != D:
         raise ValueError(f"state length {state.shape[0]} != 4**n = {D}")
-    tail = state.shape[1:]
-    v = state.reshape(2 ** n, 2 ** n, -1)
-    if which in ("register1", "both"):
-        v = fwht(v, axis=0)
-    if which in ("register2", "both"):
-        v = fwht(v, axis=1)
-    if which not in ("register1", "register2", "both"):
-        raise ValueError(f"unknown register selector {which!r}")
-    return v.reshape((D,) + tail)
+    v = fwht(fwht(state.reshape(2 ** n, 2 ** n, -1), axis=0), axis=1)
+    return v.reshape(state.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +258,7 @@ def apply_primitive(state: np.ndarray, prim, n: int) -> np.ndarray:
         v = state.reshape(2 ** n, 2 ** n, -1)
         return np.ascontiguousarray(v.swapaxes(0, 1)).reshape((state.shape[0],) + tail)
     if isinstance(prim, GlobalWHT):
-        return apply_wht(state, n, "both")
+        return apply_wht(state, n)
     raise TypeError(f"unsupported primitive {type(prim).__name__}")
 
 

@@ -25,12 +25,7 @@ import scipy.linalg
 from artifact.classical import MlpSpec, SiameseModel
 from artifact.dataset import SamplePair, generate_dataset
 from artifact.harness import make_config, run_experiment, summarize
-from artifact.qnn_meas import (
-    extract_feature_matrix,
-    lambda_max,
-    lasso_fit,
-    lasso_scores,
-)
+from artifact.qnn_meas import extract_feature_matrix, lasso_fit, lasso_scores
 from artifact.qnn_var import (
     AnsatzSpec,
     apply_ansatz,
@@ -47,6 +42,7 @@ from artifact.symmetry import (
     complement_rep,
     exchange_rep,
 )
+from oracles import fd_angle_gradient, lambda_max, shift_angle_gradient
 
 ACCEPT_SEED = 0
 REDUCED_FIG4_TRIALS = 5   # full config: 50
@@ -311,16 +307,12 @@ def test_acceptance_6_numerical_cross_checks():
     grad_err = 0.0
     adjoint_err = 0.0
     for name in ("swap", "sum_zz", "swap_wht"):
-        grads = {
-            method: loss_and_gradient(states, y, params, pool, AnsatzSpec(),
-                                      pool.entry(name),
-                                      grad_method=method)[1]
-            for method in ("fd", "shift", "adjoint")}
+        args = (states, y, params, pool, AnsatzSpec(), pool.entry(name))
+        shift = shift_angle_gradient(*args)
         grad_err = max(grad_err,
-                       float(np.max(np.abs(grads["fd"] - grads["shift"]))))
-        adjoint_err = max(
-            adjoint_err,
-            float(np.max(np.abs(grads["adjoint"] - grads["shift"]))))
+                       float(np.max(np.abs(fd_angle_gradient(*args) - shift))))
+        adjoint_err = max(adjoint_err, float(np.max(np.abs(
+            loss_and_gradient(*args)[1] - shift))))
 
     # (c) Siamese backprop vs central finite differences (norm-relative)
     rng = np.random.default_rng(9)

@@ -60,11 +60,6 @@ def test_fig5_defaults():
     assert c.per_class_counts == (5,)
 
 
-def test_experiment_aliases_resolve():
-    assert make_config("fig4_samples").experiment == "fig4"
-    assert make_config("oracle_check").experiment == "oracle"
-
-
 def test_unknown_experiment_rejected():
     with pytest.raises(ConfigError, match="unknown experiment"):
         make_config("fig9")
@@ -90,6 +85,10 @@ def test_invalid_values_rejected():
         make_config("fig3", models=("qnn_m", "mystery"))
     with pytest.raises(ConfigError):
         make_config("fig5", sweep_n=())
+    with pytest.raises(ConfigError, match="unknown rounding mode"):
+        make_config("fig3", rounding="foo")
+    with pytest.raises(ConfigError, match="unknown partner mode"):
+        make_config("fig3", partner="bar")
 
 
 def test_cnn_register_size_constraint():
@@ -378,6 +377,8 @@ def test_cli_run_rejects_unknown_config_key(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("trials", "3"), ("epsilon", "0.1"), ("per_class_counts", 5), ("n", 4.5),
     ("trials", True), ("models", "qnn_m"),
+    # strings, but outside the mode field's choices
+    ("rounding", "foo"), ("partner", "bar"),
 ])
 def test_cli_run_rejects_wrongly_typed_config_field(tmp_path, capsys, field,
                                                     value):
@@ -408,7 +409,12 @@ def test_cli_validate_pool(capsys):
     out = capsys.readouterr().out
     assert "pass" in out
     assert "swap_wht" in out
+    assert "at n=2" in out
+    assert main(["validate-pool", "--n", "3"]) == 0
+    assert "at n=3" in capsys.readouterr().out
     assert main(["validate-pool", "--n", "1"]) == 1
+    assert main(["validate-pool", "--n", "4"]) == 1
+    assert "n_check <= 3" in capsys.readouterr().err
 
 
 def test_cli_oracle_writes_json_report(tmp_path):

@@ -7,18 +7,16 @@ from artifact.dataset import generate_dataset
 from artifact.qnn_meas import (
     extract_feature_matrix,
     extract_features,
-    lambda_max,
     lasso_fit,
     lasso_from_dict,
-    lasso_objective,
     lasso_predict,
     lasso_scores,
     lasso_to_dict,
     soft_threshold,
-    structured_features,
 )
 from artifact.statevec import forrelation
 from artifact.symmetry import build_pool
+from oracles import lambda_max, lasso_objective, structured_features
 
 
 def random_pair(rng, n):

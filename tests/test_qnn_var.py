@@ -13,15 +13,12 @@ from artifact.qnn_var import (
     QnnUParams,
     ansatz_factors,
     apply_ansatz,
-    apply_exp_generator,
     encode_pairs,
-    expectations,
     generator_entries,
     init_params,
     loss_and_gradient,
     model_eval,
     mse_loss,
-    shift_gradient_h,
     train_qnn_u,
 )
 from artifact.statevec import (
@@ -32,6 +29,14 @@ from artifact.statevec import (
     product_state,
 )
 from artifact.symmetry import build_pool, complement_rep, exchange_rep
+from oracles import (
+    apply_exp_generator,
+    fd_angle_gradient,
+    reference_ansatz,
+    reference_h,
+    shift_angle_gradient,
+    shift_gradient_h,
+)
 
 N_CHECK = 2
 POOL2 = build_pool(N_CHECK)
@@ -149,14 +154,9 @@ def test_ansatz_forward_matches_reference_exponentials(pool):
         spec = AnsatzSpec(layers=2, generator_names=names)
         thetas = rng.uniform(-1.5, 1.5, spec.param_count())
         states = rng.standard_normal((D, 4)) + 1j * rng.standard_normal((D, 4))
-        ref = states
-        k = 0
-        for _ in range(spec.layers):
-            for entry in generator_entries(pool, spec):
-                ref = apply_exp_generator(ref, entry, thetas[k], pool.n)
-                k += 1
         np.testing.assert_array_equal(
-            apply_ansatz(states, thetas, pool, spec), ref)
+            apply_ansatz(states, thetas, pool, spec),
+            reference_ansatz(states, thetas, pool, spec))
 
 
 def test_ansatz_rejects_wrong_theta_count():
@@ -177,13 +177,10 @@ def test_parameter_shift_matches_finite_differences():
     for name in READOUTS:
         obs = POOL2.entry(name)
         shifts = []
-        for k in range(spec.param_count()):
+        for k, d in enumerate(h * np.eye(spec.param_count())):
             shift = shift_gradient_h(states, thetas, POOL2, spec, obs, k)
-            tp, tm = thetas.copy(), thetas.copy()
-            tp[k] += h
-            tm[k] -= h
-            fd = (expectations(states, tp, POOL2, spec, obs)
-                  - expectations(states, tm, POOL2, spec, obs)) / (2 * h)
+            fd = (reference_h(states, thetas + d, POOL2, spec, obs)
+                  - reference_h(states, thetas - d, POOL2, spec, obs)) / (2 * h)
             np.testing.assert_allclose(shift, fd, atol=1e-4)
             shifts.append(shift)
         if name != "swap":
@@ -199,17 +196,17 @@ def test_loss_gradient_methods_agree():
     params = QnnUParams(rng.uniform(-0.5, 0.5, spec.param_count()), 1.3, -0.2)
     for name in READOUTS:
         obs = POOL2.entry(name)
-        l_fd, gt_fd, ga_fd, gb_fd, _ = loss_and_gradient(
-            states, y, params, POOL2, spec, obs, "fd")
-        l_sh, gt_sh, ga_sh, gb_sh, _ = loss_and_gradient(
-            states, y, params, POOL2, spec, obs, "shift")
-        l_ad, gt_ad, ga_ad, gb_ad, _ = loss_and_gradient(
-            states, y, params, POOL2, spec, obs, "adjoint")
-        assert l_fd == l_sh == l_ad
+        _, gt_ad, _, _, preds = loss_and_gradient(states, y, params, POOL2,
+                                                  spec, obs)
+        # the reference circuit reproduces the production forward pass
+        np.testing.assert_array_equal(
+            preds, params.a * reference_h(states, params.thetas, POOL2, spec,
+                                          obs) + params.b)
+        gt_fd = fd_angle_gradient(states, y, params, POOL2, spec, obs)
+        gt_sh = shift_angle_gradient(states, y, params, POOL2, spec, obs)
         np.testing.assert_allclose(gt_fd, gt_sh, atol=1e-4)
         np.testing.assert_allclose(gt_ad, gt_sh, rtol=0, atol=1e-12)
         np.testing.assert_allclose(gt_ad, gt_fd, rtol=0, atol=1e-6)
-        assert ga_fd == ga_sh == ga_ad and gb_fd == gb_sh == gb_ad
         if name != "swap":
             assert np.max(np.abs(gt_ad)) > 1e-2, name
 
@@ -224,9 +221,8 @@ def test_adjoint_matches_parameter_shift_at_n4():
     for name in READOUTS:
         obs = POOL4.entry(name)
         _, gt_ad, _, _, _ = loss_and_gradient(states, y, params, POOL4, spec,
-                                              obs, "adjoint")
-        _, gt_sh, _, _, _ = loss_and_gradient(states, y, params, POOL4, spec,
-                                              obs, "shift")
+                                              obs)
+        gt_sh = shift_angle_gradient(states, y, params, POOL4, spec, obs)
         np.testing.assert_allclose(gt_ad, gt_sh, rtol=0, atol=1e-12)
 
 

@@ -62,6 +62,12 @@ def test_phase_state_normalized():
         assert np.all(np.abs(np.abs(s) - 1 / np.sqrt(N)) < 1e-12)
 
 
+def test_as_bits_accepts_float_and_bool_bits():
+    for x in ([0.0, 1.0, 1.0, 0.0], [False, True, True, False]):
+        assert as_bits(x).dtype == np.uint8
+        np.testing.assert_array_equal(as_bits(x), [0, 1, 1, 0])
+
+
 def test_as_bits_rejects_bad_input():
     with pytest.raises(ValueError):
         as_bits("0102")
@@ -69,6 +75,10 @@ def test_as_bits_rejects_bad_input():
         as_bits("010")  # not a power of two
     with pytest.raises(ValueError):
         as_bits([0, 1, 2, 0])
+    with pytest.raises(ValueError):
+        as_bits([0.5, 1.0, 0.9, 0])  # a uint8 cast would truncate to 0 1 0 0
+    with pytest.raises(ValueError):
+        as_bits([0, 1, -1, 0])  # a uint8 cast would overflow
 
 
 # --- product states ---------------------------------------------------------
@@ -124,19 +134,14 @@ def test_fwht_preserves_norm():
     assert abs(np.linalg.norm(fwht(v)) - np.linalg.norm(v)) < 1e-12
 
 
-def test_apply_wht_register_subsets_match_dense():
+def test_apply_wht_matches_dense():
     n = 2
     rng = np.random.default_rng(6)
     v = random_state(rng, 16)
     h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
     Hn = np.kron(h1, h1)
-    I4 = np.eye(4)
-    np.testing.assert_allclose(apply_wht(v, n, "register1"),
-                               np.kron(Hn, I4) @ v, atol=1e-12)
-    np.testing.assert_allclose(apply_wht(v, n, "register2"),
-                               np.kron(I4, Hn) @ v, atol=1e-12)
-    np.testing.assert_allclose(apply_wht(v, n, "both"),
-                               np.kron(Hn, Hn) @ v, atol=1e-12)
+    np.testing.assert_allclose(apply_wht(v, n), np.kron(Hn, Hn) @ v,
+                               atol=1e-12)
 
 
 # --- primitives vs dense oracle --------------------------------------------
