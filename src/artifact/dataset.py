@@ -108,9 +108,7 @@ def sign_round(z, rng) -> np.ndarray:
 def _round_vector(z, rng, rounding: str) -> np.ndarray:
     if rounding == "sign":
         return sign_round(truncate(z), rng)
-    if rounding == "randomized":
-        return round_to_bit(truncate(z), rng)
-    raise ValueError(f"unknown rounding mode {rounding!r}")
+    return round_to_bit(truncate(z), rng)
 
 
 def sample_pair(n: int, epsilon: float, correlated: bool, rng,
@@ -125,6 +123,10 @@ def sample_pair(n: int, epsilon: float, correlated: bool, rng,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if rounding not in ROUNDING_MODES:
+        raise ValueError(f"unknown rounding mode {rounding!r}")
+    if partner not in PARTNER_MODES:
+        raise ValueError(f"unknown partner mode {partner!r}")
     if epsilon is None:
         epsilon = default_epsilon(n)
     if epsilon <= 0:
@@ -141,13 +143,11 @@ def sample_pair(n: int, epsilon: float, correlated: bool, rng,
         z2 = fwht(z1)
         x1 = _round_vector(z1, rng, rounding)
         x2 = _round_vector(z2, rng, rounding)
-    elif partner == "encoded":
+    else:
         x1 = _round_vector(z1, rng, rounding)
         s1 = 1.0 - 2.0 * x1.astype(float)
         z2 = fwht(s1)
         x2 = _round_vector(z2, rng, rounding)
-    else:
-        raise ValueError(f"unknown partner mode {partner!r}")
     return SamplePair(x1, x2, 0)
 
 

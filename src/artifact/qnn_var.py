@@ -21,10 +21,14 @@ arXiv:2009.02823). The (a, b) gradients are analytic. The test suite checks
 the circuit against a term-by-term reference chain and the adjoint against
 central finite differences and the parameter-shift rule (tests/oracles.py).
 
-The default `swap` readout commutes with every generator, so the angles
-cannot change any prediction and their gradient is identically zero: with
-it, training moves only the readout scale and offset (a, b). This is the
-limit of a unitary parametrization that the `fig3` comparison shows.
+A trailing block whose generator commutes with the readout O cannot move
+<O>: U^dag O U is unchanged without it. train_qnn_u therefore drops the
+trailing run of such blocks (pruned_blocks, checked once per call at the
+run's register size) and simulates only the rest; the dropped angles get
+gradient exactly 0 and keep their initial values. The default `swap`
+readout commutes with every generator, so no block is simulated and
+training moves only the readout scale and offset (a, b). This is the limit
+of a unitary parametrization that the `fig3` comparison shows.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .optim import accuracy, fit
 from .statevec import (
     ObservableExpr,
     apply_observable,
+    commutes,
     expectation_batch,
     phase_state,
     product_state,
@@ -71,6 +76,7 @@ class QnnUParams:
 class QnnUResult:
     params: QnnUParams
     records: tuple  # of optim.EpochRecord; epoch 0 is the baseline
+    pruned_blocks: int  # trailing blocks skipped as commuting with the readout
 
 
 def init_params(spec: AnsatzSpec, rng) -> QnnUParams:
@@ -111,33 +117,55 @@ class Factor:
         return v[self.src] * (self.sign if v.ndim == 1 else self.sign[:, None])
 
 
-def ansatz_factors(pool: OperatorPool, spec: AnsatzSpec) -> tuple:
-    """The circuit's factors in application order.
+def pruned_blocks(pool: OperatorPool, spec: AnsatzSpec,
+                  observable: PoolEntry) -> int:
+    """Length of the trailing run of blocks whose generator commutes with
+    the readout O, checked at the pool's own register size.
+
+    A block is the factors of one (layer, generator), sharing angle k. If
+    the last block's generator G commutes with O, so does exp(-i theta G),
+    and U^dag O U keeps its value with the block removed; repeating this
+    from the end drops the whole run, whose angles then have exactly zero
+    gradient.
+    """
+    commuting = [commutes(e.expr, observable.expr, pool.n)
+                 for e in generator_entries(pool, spec)]
+    count = 0
+    for k in reversed(range(spec.param_count())):
+        if not commuting[k % len(commuting)]:
+            break
+        count += 1
+    return count
+
+
+def ansatz_factors(pool: OperatorPool, spec: AnsatzSpec,
+                   blocks: int = None) -> tuple:
+    """The factors of the circuit's first `blocks` blocks (all by default)
+    in application order.
 
     The layers share one (src, sign) pair per exp-term, 5 bytes per
     amplitude: at n = 10 the 57 terms of the default generators hold about
-    300 MB. Callers therefore build the factors once per training run
-    rather than caching them per pool.
+    300 MB. Only generators of the kept blocks get one, and callers build
+    the factors once per training run rather than caching them per pool.
     """
-    actions = []
-    for entry in generator_entries(pool, spec):
-        actions.append([(term, signed_permutation(term, pool.n)
-                         or (None, None, 1.0))
-                        for term in entry.exp_terms])
+    if blocks is None:
+        blocks = spec.param_count()
+    # block k applies generator k % G, so the first `blocks` generators
+    # are all the kept blocks use
+    actions = [[(term, signed_permutation(term, pool.n) or (None, None, 1.0))
+                for term in entry.exp_terms]
+               for entry in generator_entries(pool, spec)[:blocks]]
     factors = []
-    k = 0
-    for _layer in range(spec.layers):
-        for terms in actions:
-            factors.extend(Factor(k, term, pool.n, *action)
-                           for term, action in terms)
-            k += 1
+    for k in range(blocks):
+        factors.extend(Factor(k, term, pool.n, *action)
+                       for term, action in actions[k % len(actions)])
     return tuple(factors)
 
 
 def apply_ansatz(states: np.ndarray, thetas: np.ndarray, pool: OperatorPool,
                  spec: AnsatzSpec, factors=None) -> np.ndarray:
-    """Full layered circuit; factors, from ansatz_factors(pool, spec),
-    spares rebuilding them."""
+    """The layered circuit: the full one by default, or the given factors
+    from ansatz_factors, which may stop before the last block."""
     thetas = np.asarray(thetas, dtype=float)
     if thetas.size != spec.param_count():
         raise ValueError("theta vector length does not match the ansatz")
@@ -189,7 +217,8 @@ def loss_and_gradient(states: np.ndarray, labels: np.ndarray,
                       spec: AnsatzSpec, observable: PoolEntry, factors=None):
     """Returns (loss, grad_thetas, grad_a, grad_b, preds).
 
-    The adjoint sweep costs about three circuit passes for all angles.
+    The adjoint sweep costs about three circuit passes for all angles. An
+    angle with no factor in factors gets gradient exactly 0.
     """
     if factors is None:
         factors = ansatz_factors(pool, spec)
@@ -211,12 +240,15 @@ def train_qnn_u(train_samples, pool: OperatorPool, spec: AnsatzSpec = None,
     """Adam training of the variational model on encoded pairs (optim.fit).
 
     Records the pre-training baseline as epoch 0 and the state after every
-    record_every-th epoch (the final epoch is always recorded).
+    record_every-th epoch (the final epoch is always recorded). The trailing
+    blocks that commute with the readout are never simulated; their angles
+    keep their initial values.
     """
     if spec is None:
         spec = AnsatzSpec()
     observable = pool.entry(observable_name)
-    factors = ansatz_factors(pool, spec)
+    pruned = pruned_blocks(pool, spec, observable)
+    factors = ansatz_factors(pool, spec, spec.param_count() - pruned)
     init = init_params(spec, np.random.default_rng(seed))
     states = encode_pairs(train_samples, pool.n)
     y = np.asarray([s.label for s in train_samples], dtype=float)
@@ -241,4 +273,4 @@ def train_qnn_u(train_samples, pool: OperatorPool, spec: AnsatzSpec = None,
     params, records, _ = fit(
         [init.thetas, np.float64(init.a), np.float64(init.b)], loss_and_grad,
         y, test_acc, epochs, lr, record_every)
-    return QnnUResult(unpack(params), records)
+    return QnnUResult(unpack(params), records, pruned)

@@ -97,10 +97,17 @@ def test_sample_pair_validates_parameters():
         sample_pair(0, 1.0, True, rng)
     with pytest.raises(ValueError):
         sample_pair(2, -1.0, True, rng)
-    with pytest.raises(ValueError):
-        sample_pair(2, 1.0, True, rng, rounding="floor")
-    with pytest.raises(ValueError):
-        sample_pair(2, 1.0, True, rng, partner="nearest")
+
+
+@pytest.mark.parametrize("correlated", [True, False])
+@pytest.mark.parametrize("mode", [{"rounding": "floor"},
+                                  {"partner": "nearest"}])
+def test_sample_pair_rejects_unknown_mode_before_any_draw(correlated, mode):
+    rng = np.random.default_rng(6)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="unknown"):
+        sample_pair(2, 1.0, correlated, rng, **mode)
+    assert rng.bit_generator.state == before
 
 
 def test_correlated_partner_is_transform_not_resampled():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from artifact import qnn_var
 from artifact.dataset import generate_dataset
 from artifact.optim import adam_init, adam_step
 from artifact.qnn_var import (
@@ -19,11 +20,13 @@ from artifact.qnn_var import (
     loss_and_gradient,
     model_eval,
     mse_loss,
+    pruned_blocks,
     train_qnn_u,
 )
 from artifact.statevec import (
     GlobalWHT,
     apply_observable,
+    commutes,
     dense_observable,
     phase_state,
     product_state,
@@ -37,9 +40,11 @@ from oracles import (
     shift_angle_gradient,
     shift_gradient_h,
 )
+from test_golden_records import LOSS_RTOL
 
 N_CHECK = 2
 POOL2 = build_pool(N_CHECK)
+POOL3 = build_pool(3)
 POOL4 = build_pool(4)
 # the default readout commutes with every generator (zero angle gradient);
 # the other two do not, so the gradient oracles compare nonzero values
@@ -240,6 +245,76 @@ def test_swap_readout_angle_gradient_vanishes():
         _, gt, _, _, _ = loss_and_gradient(states, y, params, POOL2, spec,
                                            obs)
         assert np.max(np.abs(gt)) <= 1e-12
+
+
+# ------------------------------------------------------- pruned blocks
+
+
+@pytest.mark.parametrize("pool", [POOL2, POOL3], ids=["n2", "n3"])
+@pytest.mark.parametrize("name", POOL2.names())
+def test_pruned_circuit_matches_full_circuit(pool, name):
+    rng = np.random.default_rng(16)
+    ds = generate_dataset(n=pool.n, epsilon=None, count_per_class=3, seed=6)
+    states = encode_pairs(ds.samples, pool.n)
+    y = ds.labels()
+    spec = AnsatzSpec()
+    params = QnnUParams(rng.uniform(-1, 1, spec.param_count()), 1.2, -0.1)
+    obs = pool.entry(name)
+    live = spec.param_count() - pruned_blocks(pool, spec, obs)
+    loss, gt, _, _, preds = loss_and_gradient(
+        states, y, params, pool, spec, obs,
+        factors=ansatz_factors(pool, spec, live))
+    ref_preds = params.a * reference_h(states, params.thetas, pool, spec,
+                                       obs) + params.b
+    np.testing.assert_allclose(preds, ref_preds, rtol=0, atol=1e-12)
+    assert loss == pytest.approx(mse_loss(ref_preds, y), rel=1e-12, abs=0.0)
+    np.testing.assert_allclose(
+        gt, shift_angle_gradient(states, y, params, pool, spec, obs),
+        rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        gt[:live],
+        fd_angle_gradient(states, y, params, pool, spec, obs)[:live],
+        rtol=0, atol=1e-6)
+    assert np.all(gt[live:] == 0.0)
+
+
+@pytest.mark.parametrize("pool", [POOL3, POOL4], ids=["n3", "n4"])
+def test_pruned_block_count_is_checked_at_run_size(pool):
+    spec = AnsatzSpec()
+    counts = {name: pruned_blocks(pool, spec, pool.entry(name))
+              for name in ("swap", "sum_y", "sum_yy", "sum_zz")}
+    assert counts == {"swap": 12, "sum_y": 2, "sum_yy": 2, "sum_zz": 1}
+
+
+def test_nearest_neighbour_sums_commute_only_at_n2():
+    """One pair per register at n = 2 makes sum_xx and sum_zz commute there;
+    a check at that size would prune blocks that move the readout at n = 3.
+    """
+    for a, b in (("sum_xx", "sum_zz"), ("sum_xx", "sum_yy")):
+        assert commutes(POOL2.entry(a).expr, POOL2.entry(b).expr, 2)
+        assert not commutes(POOL3.entry(a).expr, POOL3.entry(b).expr, 3)
+    assert pruned_blocks(POOL2, AnsatzSpec(), POOL2.entry("sum_yy")) == 12
+
+
+def test_swap_training_simulates_no_block(monkeypatch):
+    ds = generate_dataset(n=3, epsilon=None, count_per_class=4, seed=23)
+    test = generate_dataset(n=3, epsilon=None, count_per_class=4, seed=24)
+    kwargs = dict(epochs=20, seed=5, test_samples=test.samples,
+                  record_every=5)
+    pruned = train_qnn_u(ds.samples, POOL3, **kwargs)
+    init = init_params(AnsatzSpec(), np.random.default_rng(5))
+    np.testing.assert_array_equal(pruned.params.thetas, init.thetas)
+    assert pruned.pruned_blocks == 12
+    # the same run through the full factor tuple
+    monkeypatch.setattr(qnn_var, "pruned_blocks", lambda *args: 0)
+    full = train_qnn_u(ds.samples, POOL3, **kwargs)
+    assert full.pruned_blocks == 0
+    assert len(pruned.records) == len(full.records)
+    for a, b in zip(pruned.records, full.records):
+        assert (a.epoch, a.train_acc, a.test_acc) == (b.epoch, b.train_acc,
+                                                      b.test_acc)
+        assert a.train_loss == pytest.approx(b.train_loss, rel=LOSS_RTOL,
+                                             abs=0.0)
 
 
 def test_analytic_head_gradients():
