@@ -71,9 +71,6 @@ class CnnSpec:
                 raise ValueError(f"side {self.side} too small for the fixed "
                                  "conv/pool stack")
             s = s // 2
-        if s < 1:
-            raise ValueError(f"side {self.side} too small for the fixed "
-                             "conv/pool stack")
         return s * s * self.channels[-1]
 
 
@@ -164,7 +161,7 @@ def _pool_backward(g, cache):
 
 
 class MlpEncoder:
-    def __init__(self, spec: MlpSpec, rng, emb_scale: float = DEFAULT_EMB_SCALE):
+    def __init__(self, spec: MlpSpec, rng):
         self.spec = spec
         dims = [spec.input_dim] + list(spec.widths)
         self.W = []
@@ -172,7 +169,7 @@ class MlpEncoder:
         for i in range(len(spec.widths)):
             w = he_uniform(rng, dims[i], (dims[i], dims[i + 1]))
             if i == len(spec.widths) - 1:
-                w = w * emb_scale
+                w = w * DEFAULT_EMB_SCALE
             self.W.append(w)
             self.b.append(np.zeros(dims[i + 1]))
 
@@ -211,7 +208,7 @@ class MlpEncoder:
 
 
 class CnnEncoder:
-    def __init__(self, spec: CnnSpec, rng, emb_scale: float = DEFAULT_EMB_SCALE):
+    def __init__(self, spec: CnnSpec, rng):
         self.spec = spec
         k = spec.kernel
         c1, c2 = spec.channels
@@ -220,7 +217,7 @@ class CnnEncoder:
         self.W2 = he_uniform(rng, k * k * c1, (k, k, c1, c2))
         self.b2 = np.zeros(c2)
         flat = spec.flat_after_stack()
-        self.Wd = he_uniform(rng, flat, (flat, spec.dense)) * emb_scale
+        self.Wd = he_uniform(rng, flat, (flat, spec.dense)) * DEFAULT_EMB_SCALE
         self.bd = np.zeros(spec.dense)
 
     def param_names(self):
@@ -271,17 +268,15 @@ class CnnEncoder:
 class SiameseModel:
     """Weight-shared encoder pair + distance head, trained by MSE."""
 
-    def __init__(self, spec, rng, head: str = "logistic",
-                 emb_scale: float = DEFAULT_EMB_SCALE):
+    def __init__(self, spec, rng, head: str = "logistic"):
         if head not in ("logistic", "exp"):
             raise ValueError(f"unknown head {head!r}")
         self.spec = spec
         self.head = head
-        self.emb_scale = emb_scale
         if isinstance(spec, MlpSpec):
-            self.encoder = MlpEncoder(spec, rng, emb_scale)
+            self.encoder = MlpEncoder(spec, rng)
         elif isinstance(spec, CnnSpec):
-            self.encoder = CnnEncoder(spec, rng, emb_scale)
+            self.encoder = CnnEncoder(spec, rng)
         else:
             raise TypeError("spec must be MlpSpec or CnnSpec")
         self.w_out = 1.0
@@ -357,13 +352,11 @@ def samples_to_arrays(samples):
 
 def train_siamese(train_samples, spec, seed: int = 0, head: str = "logistic",
                   epochs: int = DEFAULT_EPOCHS, lr: float = DEFAULT_LR,
-                  test_samples=None, record_every: int = 1,
-                  emb_scale: float = DEFAULT_EMB_SCALE) -> SiameseResult:
+                  test_samples=None, record_every: int = 1) -> SiameseResult:
     """Full-batch Adam (optim.fit); stops early once training accuracy is
     perfect and at least MIN_EPOCHS_BEFORE_STOP epochs have run. Epoch 0
     records the pre-training baseline."""
-    model = SiameseModel(spec, np.random.default_rng(seed), head=head,
-                         emb_scale=emb_scale)
+    model = SiameseModel(spec, np.random.default_rng(seed), head=head)
     X1, X2, y = samples_to_arrays(train_samples)
     if test_samples is not None:
         tX1, tX2, ty = samples_to_arrays(test_samples)
@@ -417,7 +410,7 @@ def save_weights(model: SiameseModel, path) -> None:
     header = json.dumps({
         "format": "siamese-weights", "version": 1,
         "encoder": _spec_to_dict(model.spec), "head": model.head,
-        "emb_scale": model.emb_scale, "tensors": tensors,
+        "tensors": tensors,
     }).encode()
     with open(path, "wb") as fh:
         fh.write(WEIGHT_MAGIC)
@@ -438,8 +431,7 @@ def load_weights(path) -> SiameseModel:
             raise ValueError("not a siamese weight file")
         body = fh.read()
     model = SiameseModel(_spec_from_dict(header["encoder"]),
-                         np.random.default_rng(0), head=header["head"],
-                         emb_scale=float(header["emb_scale"]))
+                         np.random.default_rng(0), head=header["head"])
     values = []
     for t in header["tensors"]:
         raw = body[t["offset"]:t["offset"] + t["nbytes"]]

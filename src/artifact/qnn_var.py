@@ -8,9 +8,8 @@ involutory factors T_k, so each exponential is applied exactly as
 
 with no Trotter error. Because each generator commutes with both symmetry
 representations, so does the whole circuit, and predictions are invariant
-under exchanging the two barcodes. Each factor of the default generators
-is a signed permutation (Pauli strings, the SWAP network), so its action
-is precomputed once per training run as T v = phase * sign * v[src].
+under exchanging the two barcodes. Each factor T is an exp-term of the
+pool entry, applied with statevec.apply_observable.
 
 The readout is an affine-rescaled pool-observable expectation
 y_hat = a <O> + b trained by MSE against the 0/1 class labels with Adam
@@ -18,8 +17,9 @@ y_hat = a <O> + b trained by MSE against the 0/1 class labels with Adam
 Angle gradients come from an exact adjoint sweep: one forward pass, then
 one backward pass that un-applies each factor (Jones & Gacon,
 arXiv:2009.02823). The (a, b) gradients are analytic. The test suite checks
-the circuit against a term-by-term reference chain and the adjoint against
-central finite differences and the parameter-shift rule (tests/oracles.py).
+the circuit against scipy expm of the dense generators and a term-by-term
+reference chain, and the adjoint against central finite differences and the
+parameter-shift rule (tests/oracles.py).
 
 A trailing block whose generator commutes with the readout O cannot move
 <O>: U^dag O U is unchanged without it. train_qnn_u therefore drops the
@@ -40,13 +40,11 @@ import numpy as np
 
 from .optim import accuracy, fit
 from .statevec import (
-    ObservableExpr,
     apply_observable,
     commutes,
     expectation_batch,
     phase_state,
     product_state,
-    signed_permutation,
 )
 from .symmetry import OperatorPool, PoolEntry
 
@@ -93,30 +91,6 @@ def encode_pairs(samples, n: int) -> np.ndarray:
     return np.asarray(cols, dtype=complex).T
 
 
-@dataclass(frozen=True, eq=False)
-class Factor:
-    """One involutory factor T of the circuit, applied as cos - i sin T.
-
-    param indexes its angle. T v = phase * unphased(v): for a signed
-    permutation the scalar phase is a power of i and unphased(v) =
-    sign * v[src], both precomputed; otherwise src is None, phase is 1 and
-    T goes through apply_observable. Callers fold phase into their scalar
-    coefficients.
-    """
-
-    param: int
-    expr: ObservableExpr
-    n: int
-    src: np.ndarray = None
-    sign: np.ndarray = None
-    phase: complex = 1.0
-
-    def unphased(self, v: np.ndarray) -> np.ndarray:
-        if self.src is None:
-            return apply_observable(v, self.expr, self.n)
-        return v[self.src] * (self.sign if v.ndim == 1 else self.sign[:, None])
-
-
 def pruned_blocks(pool: OperatorPool, spec: AnsatzSpec,
                   observable: PoolEntry) -> int:
     """Length of the trailing run of blocks whose generator commutes with
@@ -141,25 +115,13 @@ def pruned_blocks(pool: OperatorPool, spec: AnsatzSpec,
 def ansatz_factors(pool: OperatorPool, spec: AnsatzSpec,
                    blocks: int = None) -> tuple:
     """The factors of the circuit's first `blocks` blocks (all by default)
-    in application order.
-
-    The layers share one (src, sign) pair per exp-term, 5 bytes per
-    amplitude: at n = 10 the 57 terms of the default generators hold about
-    300 MB. Only generators of the kept blocks get one, and callers build
-    the factors once per training run rather than caching them per pool.
+    in application order, as (angle index, exp-term) pairs.
     """
     if blocks is None:
         blocks = spec.param_count()
-    # block k applies generator k % G, so the first `blocks` generators
-    # are all the kept blocks use
-    actions = [[(term, signed_permutation(term, pool.n) or (None, None, 1.0))
-                for term in entry.exp_terms]
-               for entry in generator_entries(pool, spec)[:blocks]]
-    factors = []
-    for k in range(blocks):
-        factors.extend(Factor(k, term, pool.n, *action)
-                       for term, action in actions[k % len(actions)])
-    return tuple(factors)
+    entries = generator_entries(pool, spec)
+    return tuple((k, term) for k in range(blocks)
+                 for term in entries[k % len(entries)].exp_terms)
 
 
 def apply_ansatz(states: np.ndarray, thetas: np.ndarray, pool: OperatorPool,
@@ -172,9 +134,10 @@ def apply_ansatz(states: np.ndarray, thetas: np.ndarray, pool: OperatorPool,
     if factors is None:
         factors = ansatz_factors(pool, spec)
     v = np.asarray(states, dtype=complex)
-    for f in factors:
-        ang = float(thetas[f.param])
-        v = math.cos(ang) * v - 1j * math.sin(ang) * f.phase * f.unphased(v)
+    for k, term in factors:
+        ang = float(thetas[k])
+        v = math.cos(ang) * v - 1j * math.sin(ang) * apply_observable(
+            v, term, pool.n)
     return v
 
 
@@ -191,7 +154,7 @@ def mse_loss(preds: np.ndarray, labels: np.ndarray) -> float:
 
 
 def adjoint_angle_gradient(phi: np.ndarray, lam: np.ndarray,
-                           thetas: np.ndarray, factors) -> np.ndarray:
+                           thetas: np.ndarray, factors, n: int) -> np.ndarray:
     """All angle gradients from one reverse sweep (arXiv:2009.02823).
 
     phi is the circuit's output, one state per column, and lam seeds the
@@ -202,13 +165,13 @@ def adjoint_angle_gradient(phi: np.ndarray, lam: np.ndarray,
     both back past it.
     """
     grad = np.zeros(np.size(thetas))
-    for f in reversed(factors):
-        ang = float(thetas[f.param])
-        c, s = math.cos(ang), 1j * math.sin(ang) * f.phase
-        t_phi = f.unphased(phi)
-        grad[f.param] += 2.0 * (f.phase * np.vdot(lam, t_phi)).imag
+    for k, term in reversed(factors):
+        ang = float(thetas[k])
+        c, s = math.cos(ang), 1j * math.sin(ang)
+        t_phi = apply_observable(phi, term, n)
+        grad[k] += 2.0 * np.vdot(lam, t_phi).imag
         phi = c * phi + s * t_phi
-        lam = c * lam + s * f.unphased(lam)
+        lam = c * lam + s * apply_observable(lam, term, n)
     return grad
 
 
@@ -228,7 +191,7 @@ def loss_and_gradient(states: np.ndarray, labels: np.ndarray,
     preds = params.a * h + params.b
     dz = 2.0 * (preds - y) / y.size  # dL/dpreds
     lam = apply_observable(phi, observable.expr, pool.n) * (params.a * dz)
-    gt = adjoint_angle_gradient(phi, lam, params.thetas, factors)
+    gt = adjoint_angle_gradient(phi, lam, params.thetas, factors, pool.n)
     return (mse_loss(preds, y), gt, float(np.dot(dz, h)), float(np.sum(dz)),
             preds)
 

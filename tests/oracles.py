@@ -1,9 +1,11 @@
 """Reference routes that the production fast paths are tested against.
 
-Each shares no code with the path it checks: the circuit term by term
-through apply_observable (not qnn_var's precomputed factors), finite
-differences and parameter shift (not the adjoint sweep), pool features on
-the explicit product state (not qnn_meas's closed forms).
+Finite differences and parameter shift share no code with the adjoint
+sweep they check, nor do pool features on the explicit product state with
+qnn_meas's closed forms. The term-by-term circuit shares
+statevec.apply_observable with qnn_var's ansatz; test_statevec checks that
+against dense matrices, and test_qnn_var checks the ansatz against scipy
+expm of the dense generators.
 """
 
 from __future__ import annotations

@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
+import json
+import struct
+
 from artifact.classical import (
+    WEIGHT_MAGIC,
     CnnSpec,
     MlpSpec,
     SiameseModel,
+    _pool_backward,
+    _pool_forward,
     cnn_spec_for,
     load_weights,
     save_weights,
@@ -143,6 +149,21 @@ def test_embedding_layer_scaled_down_at_init():
     assert np.max(np.abs(final)) <= lim
 
 
+def test_pool_backward_routes_a_tie_to_the_first_maximum():
+    """Binary pixels repeat 3x3 patches, so two positive entries of a pool
+    block can tie; the whole gradient goes to the first of them."""
+    X = np.array([[0.2, 0.7, 0.7, 0.1],
+                  [0.7, 0.7, 0.3, 0.7]]).reshape(1, 2, 4, 1)
+    out, cache = _pool_forward(X)
+    np.testing.assert_array_equal(out.ravel(), [0.7, 0.7])
+    g = np.array([3.0, -2.0]).reshape(out.shape)
+    gX = _pool_backward(g, cache)
+    expect = np.zeros_like(X)
+    expect[0, 0, 1, 0] = 3.0   # block 0: ties at (0, 1), (1, 0), (1, 1)
+    expect[0, 0, 2, 0] = -2.0  # block 1: ties at (0, 2), (1, 3)
+    np.testing.assert_array_equal(gX, expect)
+
+
 def test_cnn_spec_for_sizes():
     assert cnn_spec_for(8).side == 16
     assert cnn_spec_for(10).side == 32
@@ -244,6 +265,26 @@ def test_weight_round_trip_cnn(tmp_path):
     np.testing.assert_array_equal(clone.forward(X1, X2)[0],
                                   model.forward(X1, X2)[0])
     assert clone.head == "exp"
+
+
+def test_weight_file_with_emb_scale_field_loads(tmp_path):
+    """Older files carry an emb_scale header field; loading ignores it,
+    since every tensor is overwritten."""
+    rng = np.random.default_rng(10)
+    model = SiameseModel(MlpSpec(16, (4, 2)), rng)
+    path = tmp_path / "weights.bin"
+    save_weights(model, path)
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[4:12])
+    header = json.loads(raw[12:12 + hlen])
+    assert "emb_scale" not in header
+    header["emb_scale"] = 0.5
+    old = json.dumps(header).encode()
+    path.write_bytes(WEIGHT_MAGIC + struct.pack("<Q", len(old)) + old
+                     + raw[12 + hlen:])
+    X = rng.standard_normal((3, 16))
+    np.testing.assert_array_equal(load_weights(path).forward(X, X[::-1])[0],
+                                  model.forward(X, X[::-1])[0])
 
 
 def test_weight_file_rejects_bad_magic(tmp_path):

@@ -15,7 +15,6 @@ from artifact.qnn_var import (
     ansatz_factors,
     apply_ansatz,
     encode_pairs,
-    generator_entries,
     init_params,
     loss_and_gradient,
     model_eval,
@@ -24,8 +23,6 @@ from artifact.qnn_var import (
     train_qnn_u,
 )
 from artifact.statevec import (
-    GlobalWHT,
-    apply_observable,
     commutes,
     dense_observable,
     phase_state,
@@ -105,19 +102,25 @@ def test_ansatz_is_unitary_and_batched():
 
 
 def test_ansatz_matches_dense_product_of_expm():
+    """Against scipy expm of dense generators: an oracle that, unlike
+    reference_ansatz, does not apply the factors with apply_observable.
+    Beyond n = 2 the nearest-neighbour sums stop commuting pairwise."""
     rng = np.random.default_rng(4)
-    spec = AnsatzSpec(layers=2)
-    thetas = rng.uniform(-1, 1, spec.param_count())
-    U = np.eye(16, dtype=complex)
-    k = 0
-    for _ in range(spec.layers):
-        for name in spec.generator_names:
-            G = dense_observable(POOL2.entry(name).expr, N_CHECK)
-            U = scipy.linalg.expm(-1j * thetas[k] * G) @ U
-            k += 1
-    st = random_state(rng, 16)
-    np.testing.assert_allclose(apply_ansatz(st, thetas, POOL2, spec), U @ st,
-                               atol=1e-8)
+    for pool, names in ((POOL2, AnsatzSpec().generator_names),
+                        (POOL3, ALL_GENERATORS)):
+        spec = AnsatzSpec(layers=2, generator_names=names)
+        D = 4 ** pool.n
+        thetas = rng.uniform(-1, 1, spec.param_count())
+        U = np.eye(D, dtype=complex)
+        k = 0
+        for _ in range(spec.layers):
+            for name in spec.generator_names:
+                G = dense_observable(pool.entry(name).expr, pool.n)
+                U = scipy.linalg.expm(-1j * thetas[k] * G) @ U
+                k += 1
+        st = random_state(rng, D)
+        np.testing.assert_allclose(apply_ansatz(st, thetas, pool, spec),
+                                   U @ st, atol=1e-8)
 
 
 def test_ansatz_commutes_with_symmetry_reps():
@@ -130,25 +133,6 @@ def test_ansatz_commutes_with_symmetry_reps():
         a = apply_ansatz(U @ st, thetas, POOL2, spec)
         b = U @ apply_ansatz(st, thetas, POOL2, spec)
         np.testing.assert_allclose(a, b, atol=1e-8)
-
-
-@pytest.mark.parametrize("pool", [POOL2, POOL4], ids=["n2", "n4"])
-def test_precomputed_factors_match_apply_observable(pool):
-    rng = np.random.default_rng(11)
-    D = 4 ** pool.n
-    spec = AnsatzSpec(layers=1, generator_names=ALL_GENERATORS)
-    v = rng.standard_normal((D, 3)) + 1j * rng.standard_normal((D, 3))
-    factors = ansatz_factors(pool, spec)
-    assert len(factors) == sum(len(e.exp_terms)
-                               for e in generator_entries(pool, spec))
-    for f in factors:
-        mixes = any(isinstance(p, GlobalWHT) for p in f.expr.factors)
-        # every default generator term is a precomputed signed permutation
-        assert (f.src is None) == mixes, f.expr.name
-        np.testing.assert_array_equal(f.phase * f.unphased(v),
-                                      apply_observable(v, f.expr, pool.n))
-        np.testing.assert_array_equal(f.phase * f.unphased(v[:, 1]),
-                                      apply_observable(v[:, 1], f.expr, pool.n))
 
 
 @pytest.mark.parametrize("pool", [POOL2, POOL4], ids=["n2", "n4"])
@@ -296,18 +280,18 @@ def test_nearest_neighbour_sums_commute_only_at_n2():
     assert pruned_blocks(POOL2, AnsatzSpec(), POOL2.entry("sum_yy")) == 12
 
 
-def test_swap_training_simulates_no_block(monkeypatch):
+def train_pruned_and_full(monkeypatch, observable_name):
+    """One n = 3 training run with the pruned circuit, then the same run
+    through the full factor tuple; checks that the records agree and
+    returns the pruned result with the initial angles."""
     ds = generate_dataset(n=3, epsilon=None, count_per_class=4, seed=23)
     test = generate_dataset(n=3, epsilon=None, count_per_class=4, seed=24)
-    kwargs = dict(epochs=20, seed=5, test_samples=test.samples,
-                  record_every=5)
+    kwargs = dict(observable_name=observable_name, epochs=20, seed=5,
+                  test_samples=test.samples, record_every=5)
     pruned = train_qnn_u(ds.samples, POOL3, **kwargs)
-    init = init_params(AnsatzSpec(), np.random.default_rng(5))
-    np.testing.assert_array_equal(pruned.params.thetas, init.thetas)
-    assert pruned.pruned_blocks == 12
-    # the same run through the full factor tuple
-    monkeypatch.setattr(qnn_var, "pruned_blocks", lambda *args: 0)
-    full = train_qnn_u(ds.samples, POOL3, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(qnn_var, "pruned_blocks", lambda *args: 0)
+        full = train_qnn_u(ds.samples, POOL3, **kwargs)
     assert full.pruned_blocks == 0
     assert len(pruned.records) == len(full.records)
     for a, b in zip(pruned.records, full.records):
@@ -315,6 +299,21 @@ def test_swap_training_simulates_no_block(monkeypatch):
                                                       b.test_acc)
         assert a.train_loss == pytest.approx(b.train_loss, rel=LOSS_RTOL,
                                              abs=0.0)
+    return pruned, init_params(AnsatzSpec(), np.random.default_rng(5)).thetas
+
+
+def test_swap_training_simulates_no_block(monkeypatch):
+    pruned, init = train_pruned_and_full(monkeypatch, "swap")
+    assert pruned.pruned_blocks == 12
+    np.testing.assert_array_equal(pruned.params.thetas, init)
+
+
+def test_partly_pruned_training_matches_full_circuit(monkeypatch):
+    """sum_zz prunes only the last block, so training runs live factors."""
+    pruned, init = train_pruned_and_full(monkeypatch, "sum_zz")
+    assert pruned.pruned_blocks == 1
+    assert pruned.params.thetas[-1] == init[-1]
+    assert np.all(pruned.params.thetas[:-1] != init[:-1])
 
 
 def test_analytic_head_gradients():

@@ -20,7 +20,6 @@ from artifact.statevec import (
     fwht,
     phase_state,
     product_state,
-    signed_permutation,
 )
 
 
@@ -245,27 +244,23 @@ def test_primitives_preserve_norm():
     (PauliString("ZIYX"), SwapNetwork(), PauliString("YIIX")),
 ])
 def test_signed_permutation_matches_dense(factors):
+    """Pauli strings and the SWAP network compose to signed permutations;
+    apply_observable, the one route for circuit factors, must match them."""
     n = 2
     rng = np.random.default_rng(18)
     expr = ObservableExpr("perm", factors)
-    src, sign, phase = signed_permutation(expr, n)
-    assert src.dtype == np.int32 and sign.dtype == np.int8
-    assert set(np.unique(sign)) <= {-1, 1} and abs(phase) == 1
     M = dense_observable(expr, n)
-    P = np.zeros((16, 16), dtype=complex)
-    P[np.arange(16), src] = phase * sign
-    np.testing.assert_allclose(P, M, atol=0)
     v = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
-    np.testing.assert_allclose(phase * (sign[:, None] * v[src]),
-                               apply_observable(v, expr, n), atol=1e-15)
+    np.testing.assert_allclose(apply_observable(v, expr, n), M @ v,
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(apply_observable(v[:, 1], expr, n), M @ v[:, 1],
+                               rtol=0, atol=1e-15)
 
 
-def test_signed_permutation_none_for_mixing_factors():
-    for factors in ((GlobalWHT(),), (SwapNetwork(), GlobalWHT()),
-                    (nn_sum("Z", 2),)):
-        assert signed_permutation(ObservableExpr("mix", factors), 2) is None
-    with pytest.raises(ValueError, match="length"):
-        signed_permutation(ObservableExpr("p", (PauliString("XX"),)), 2)
+def test_pauli_string_length_must_match_the_state():
+    with pytest.raises(ValueError, match="state length"):
+        apply_observable(np.ones(16), ObservableExpr("p", (PauliString("XX"),)),
+                         2)
 
 
 # --- expectation ------------------------------------------------------------
