@@ -37,7 +37,6 @@ from .qnn_meas import (
     extract_feature_matrix,
     extract_features,
     lasso_fit,
-    lasso_predict,
     lasso_scores,
 )
 from .qnn_var import AnsatzSpec, QnnUResult, train_qnn_u
@@ -79,7 +78,6 @@ __all__ = [
     "fwht",
     "generate_dataset",
     "lasso_fit",
-    "lasso_predict",
     "lasso_scores",
     "load_config",
     "load_dataset",

@@ -1,12 +1,9 @@
 """Classical Siamese baselines with manual numpy backprop.
 
 Two weight-shared encoders embed the two barcodes; the squared Euclidean
-distance d between the embeddings feeds a scalar head, and the whole model
-is trained on the MSE between the head output and the 0/1 label:
-
-- "logistic" head (default): y_hat = sigmoid(w d + c);
-- "exp" head (the head argument of SiameseModel and train_siamese; no
-  experiment config selects it): y_hat = 1 - exp(-d), parameter-free.
+distance d between the embeddings feeds a logistic head,
+y_hat = sigmoid(w d + c), and the whole model is trained on the MSE between
+the head output and the 0/1 label.
 
 Encoders:
 
@@ -20,15 +17,11 @@ Initialization is He-uniform by fan-in; the final embedding layer is scaled
 by 0.01 so the initial distances are small and the MSE-through-sigmoid
 gradient does not start saturated. Training runs optim.fit, the loop qnn_u
 shares: full-batch Adam (1e-3) for at most 300 epochs, stopping early once
-training accuracy is perfect and at least 50 epochs have elapsed. Weights
-serialize to a single file: a JSON header describing the tensors, then
-their raw bytes; loading builds a seed-0 model and overwrites its tensors.
+training accuracy is perfect and at least 50 epochs have elapsed.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +34,6 @@ DEFAULT_LR = 1e-3
 DEFAULT_EPOCHS = 300
 MIN_EPOCHS_BEFORE_STOP = 50
 MIN_CNN_SIDE = 10
-WEIGHT_MAGIC = b"SWT1"
 
 
 @dataclass(frozen=True)
@@ -50,6 +42,7 @@ class MlpSpec:
     widths: tuple = DEFAULT_WIDTHS
 
     def kind(self) -> str:
+        """Encoder family; perfbench/tracing.py names its spans by it."""
         return "mlp"
 
 
@@ -61,6 +54,7 @@ class CnnSpec:
     dense: int = 32
 
     def kind(self) -> str:
+        """Encoder family; perfbench/tracing.py names its spans by it."""
         return "cnn"
 
     def flat_after_stack(self) -> int:
@@ -162,7 +156,6 @@ def _pool_backward(g, cache):
 
 class MlpEncoder:
     def __init__(self, spec: MlpSpec, rng):
-        self.spec = spec
         dims = [spec.input_dim] + list(spec.widths)
         self.W = []
         self.b = []
@@ -172,10 +165,6 @@ class MlpEncoder:
                 w = w * DEFAULT_EMB_SCALE
             self.W.append(w)
             self.b.append(np.zeros(dims[i + 1]))
-
-    def param_names(self):
-        return ([f"enc.W{i}" for i in range(len(self.W))]
-                + [f"enc.b{i}" for i in range(len(self.b))])
 
     def params(self):
         return list(self.W) + list(self.b)
@@ -220,9 +209,6 @@ class CnnEncoder:
         self.Wd = he_uniform(rng, flat, (flat, spec.dense)) * DEFAULT_EMB_SCALE
         self.bd = np.zeros(spec.dense)
 
-    def param_names(self):
-        return ["enc.W1", "enc.b1", "enc.W2", "enc.b2", "enc.Wd", "enc.bd"]
-
     def params(self):
         return [self.W1, self.b1, self.W2, self.b2, self.Wd, self.bd]
 
@@ -266,13 +252,9 @@ class CnnEncoder:
 
 
 class SiameseModel:
-    """Weight-shared encoder pair + distance head, trained by MSE."""
+    """Weight-shared encoder pair + logistic distance head, trained by MSE."""
 
-    def __init__(self, spec, rng, head: str = "logistic"):
-        if head not in ("logistic", "exp"):
-            raise ValueError(f"unknown head {head!r}")
-        self.spec = spec
-        self.head = head
+    def __init__(self, spec, rng):
         if isinstance(spec, MlpSpec):
             self.encoder = MlpEncoder(spec, rng)
         elif isinstance(spec, CnnSpec):
@@ -283,9 +265,6 @@ class SiameseModel:
         self.c_out = -1.0
 
     # parameters are the encoder tensors plus the head scalars
-    def param_names(self):
-        return self.encoder.param_names() + ["head.w", "head.c"]
-
     def params(self):
         return self.encoder.params() + [np.float64(self.w_out),
                                         np.float64(self.c_out)]
@@ -295,18 +274,12 @@ class SiameseModel:
         self.w_out = float(np.asarray(values[-2]).reshape(-1)[0])
         self.c_out = float(np.asarray(values[-1]).reshape(-1)[0])
 
-    def encode(self, X):
-        return self.encoder.forward(np.asarray(X, dtype=float))[0]
-
     def forward(self, X1, X2):
         h1, c1 = self.encoder.forward(np.asarray(X1, dtype=float))
         h2, c2 = self.encoder.forward(np.asarray(X2, dtype=float))
         d = np.sum((h1 - h2) ** 2, axis=1)
-        if self.head == "logistic":
-            z = self.w_out * d + self.c_out
-            p = 1.0 / (1.0 + np.exp(-z))
-        else:
-            p = 1.0 - np.exp(-d)
+        z = self.w_out * d + self.c_out
+        p = 1.0 / (1.0 + np.exp(-z))
         return p, (c1, c2, h1, h2, d)
 
     def loss_and_gradients(self, X1, X2, y):
@@ -316,15 +289,10 @@ class SiameseModel:
         p, (c1, c2, h1, h2, d) = self.forward(X1, X2)
         loss = float(np.mean((p - y) ** 2))
         dLdp = 2.0 * (p - y) / M
-        if self.head == "logistic":
-            dz = dLdp * p * (1.0 - p)  # sigmoid derivative
-            gw = float(np.dot(dz, d))
-            gc = float(np.sum(dz))
-            dd = dz * self.w_out
-        else:
-            gw = 0.0
-            gc = 0.0
-            dd = dLdp * np.exp(-d)
+        dz = dLdp * p * (1.0 - p)  # sigmoid derivative
+        gw = float(np.dot(dz, d))
+        gc = float(np.sum(dz))
+        dd = dz * self.w_out
         gh1 = (2.0 * dd)[:, None] * (h1 - h2)
         enc_grads = [np.zeros_like(t) for t in self.encoder.params()]
         self.encoder.backward(c1, gh1, enc_grads)
@@ -350,13 +318,13 @@ def samples_to_arrays(samples):
     return X1, X2, y
 
 
-def train_siamese(train_samples, spec, seed: int = 0, head: str = "logistic",
+def train_siamese(train_samples, spec, seed: int = 0,
                   epochs: int = DEFAULT_EPOCHS, lr: float = DEFAULT_LR,
                   test_samples=None, record_every: int = 1) -> SiameseResult:
     """Full-batch Adam (optim.fit); stops early once training accuracy is
     perfect and at least MIN_EPOCHS_BEFORE_STOP epochs have run. Epoch 0
     records the pre-training baseline."""
-    model = SiameseModel(spec, np.random.default_rng(seed), head=head)
+    model = SiameseModel(spec, np.random.default_rng(seed))
     X1, X2, y = samples_to_arrays(train_samples)
     if test_samples is not None:
         tX1, tX2, ty = samples_to_arrays(test_samples)
@@ -377,65 +345,3 @@ def train_siamese(train_samples, spec, seed: int = 0, head: str = "logistic",
     model.set_params(params)
     return SiameseResult(model, records, stopped_early)
 
-
-# -------------------------------------------------------- serialization
-
-
-def _spec_to_dict(spec):
-    if isinstance(spec, MlpSpec):
-        return {"kind": "mlp", "input_dim": spec.input_dim,
-                "widths": list(spec.widths)}
-    return {"kind": "cnn", "side": spec.side, "kernel": spec.kernel,
-            "channels": list(spec.channels), "dense": spec.dense}
-
-
-def _spec_from_dict(d):
-    if d["kind"] == "mlp":
-        return MlpSpec(int(d["input_dim"]), tuple(d["widths"]))
-    return CnnSpec(int(d["side"]), int(d["kernel"]), tuple(d["channels"]),
-                   int(d["dense"]))
-
-
-def save_weights(model: SiameseModel, path) -> None:
-    """Single file: magic, JSON header length, JSON header, raw tensor bytes."""
-    tensors = []
-    blobs = []
-    offset = 0
-    for name, value in zip(model.param_names(), model.params()):
-        arr = np.ascontiguousarray(np.asarray(value, dtype=np.float64))
-        tensors.append({"name": name, "shape": list(arr.shape),
-                        "offset": offset, "nbytes": arr.nbytes})
-        blobs.append(arr.tobytes())
-        offset += arr.nbytes
-    header = json.dumps({
-        "format": "siamese-weights", "version": 1,
-        "encoder": _spec_to_dict(model.spec), "head": model.head,
-        "tensors": tensors,
-    }).encode()
-    with open(path, "wb") as fh:
-        fh.write(WEIGHT_MAGIC)
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
-
-
-def load_weights(path) -> SiameseModel:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != WEIGHT_MAGIC:
-            raise ValueError(f"not a weight file: bad magic {magic!r}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode())
-        if header.get("format") != "siamese-weights":
-            raise ValueError("not a siamese weight file")
-        body = fh.read()
-    model = SiameseModel(_spec_from_dict(header["encoder"]),
-                         np.random.default_rng(0), head=header["head"])
-    values = []
-    for t in header["tensors"]:
-        raw = body[t["offset"]:t["offset"] + t["nbytes"]]
-        arr = np.frombuffer(raw, dtype=np.float64).reshape(t["shape"]).copy()
-        values.append(arr)
-    model.set_params(values)
-    return model

@@ -20,6 +20,7 @@ import json
 import sys
 import traceback
 from dataclasses import replace
+from pathlib import Path
 
 from .dataset import generate_dataset, save_dataset
 from .harness import (
@@ -80,7 +81,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path) -> None:
+    """Fail before any work when --out cannot be written as a file."""
+    out = Path(path)
+    if out.is_dir():
+        raise ConfigError(f"--out {path} is a directory")
+    if not out.parent.is_dir():
+        raise ConfigError(f"--out {path}: directory {out.parent} does not "
+                          "exist")
+
+
 def _cmd_gen_data(args) -> int:
+    _check_out(args.out)
     if args.n < 2:
         raise ConfigError("--n must be >= 2")
     if args.per_class < 1:
@@ -95,6 +107,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    _check_out(args.out)
     if args.config is not None:
         config = load_config(args.config)
         if config.experiment != args.experiment:
@@ -156,10 +169,8 @@ def main(argv=None) -> int:
         if args.command == "validate-pool":
             return _cmd_validate_pool(args)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ConfigError, ValueError, FileNotFoundError,
+            IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help and friends

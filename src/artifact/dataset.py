@@ -27,6 +27,7 @@ knobs; the generator is numpy's PCG64 (``numpy.random.default_rng``).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,36 +188,55 @@ def save_dataset(ds: Dataset, path) -> None:
         fh.write("\n")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_dataset(path) -> Dataset:
+    """Read a save_dataset file; every malformed field raises
+    DatasetFormatError with the file name in the message."""
+    def bad(message):
+        return DatasetFormatError(f"{path}: {message}")
+
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise DatasetFormatError(
-                f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}"
-            ) from exc
+            raise bad(f"invalid JSON at line {exc.lineno}, column "
+                      f"{exc.colno}") from exc
+    if not isinstance(obj, dict):
+        raise bad("top level must be a JSON object")
     for field_name in ("n", "epsilon", "seed", "samples"):
         if field_name not in obj:
-            raise DatasetFormatError(f"{path}: missing field {field_name!r}")
-    n = obj["n"]
-    if not isinstance(n, int) or n < 1:
-        raise DatasetFormatError(f"{path}: field 'n' must be a positive integer")
+            raise bad(f"missing field {field_name!r}")
+    n, epsilon, seed = obj["n"], obj["epsilon"], obj["seed"]
+    if not _is_int(n) or n < 1:
+        raise bad("field 'n' must be a positive integer")
+    if (not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool)
+            or not math.isfinite(epsilon) or epsilon <= 0):
+        raise bad("field 'epsilon' must be a positive finite number")
+    if not _is_int(seed):
+        raise bad("field 'seed' must be an integer")
+    if not isinstance(obj["samples"], list):
+        raise bad("field 'samples' must be a list")
     N = 2 ** n
     samples = []
     for i, rec in enumerate(obj["samples"]):
+        if not isinstance(rec, dict):
+            raise bad(f"sample {i} must be a JSON object")
         for field_name in ("x1", "x2", "y"):
             if field_name not in rec:
-                raise DatasetFormatError(
-                    f"{path}: sample {i} missing field {field_name!r}")
+                raise bad(f"sample {i} missing field {field_name!r}")
+        if not (isinstance(rec["x1"], str) and isinstance(rec["x2"], str)):
+            raise bad(f"sample {i}: barcodes must be bitstrings")
         try:
             x1 = as_bits(rec["x1"])
             x2 = as_bits(rec["x2"])
         except ValueError as exc:
-            raise DatasetFormatError(f"{path}: sample {i}: {exc}") from exc
+            raise bad(f"sample {i}: {exc}") from exc
         if x1.size != N or x2.size != N:
-            raise DatasetFormatError(
-                f"{path}: sample {i}: barcode length != 2**n = {N}")
-        if rec["y"] not in (0, 1):
-            raise DatasetFormatError(f"{path}: sample {i}: label must be 0 or 1")
-        samples.append(SamplePair(x1, x2, int(rec["y"])))
-    return Dataset(tuple(samples), n, float(obj["epsilon"]), int(obj["seed"]))
+            raise bad(f"sample {i}: barcode length != 2**n = {N}")
+        if not _is_int(rec["y"]) or rec["y"] not in (0, 1):
+            raise bad(f"sample {i}: label must be the integer 0 or 1")
+        samples.append(SamplePair(x1, x2, rec["y"]))
+    return Dataset(tuple(samples), n, float(epsilon), seed)

@@ -3,8 +3,9 @@
 Each barcode pair is encoded as a product of two phase states; the feature
 vector collects the expectation value of every pool observable on that
 state. A LASSO-regularized linear regression (coordinate descent over
-standardized features) maps the feature vector to the class label, and
-prediction thresholds the regression score at 1/2.
+standardized features) maps the feature vector to the class label; a pair
+is predicted uncorrelated when its regression score exceeds 1/2
+(optim.accuracy, the rule every model is scored by).
 
 Features come from closed forms that never build the 4^n-dimensional pair
 state: every pool observable acts on a product of real states, so its
@@ -16,7 +17,6 @@ product state by the simulator (tests/oracles.py).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,48 +179,3 @@ def lasso_scores(model: LassoModel, features: np.ndarray) -> np.ndarray:
     Z = (F - model.mu) / model.sd
     return Z @ model.alpha + model.intercept
 
-
-def lasso_predict(model: LassoModel, features: np.ndarray) -> np.ndarray:
-    """Class labels: score above 1/2 predicts class 1."""
-    return (lasso_scores(model, features) > 0.5).astype(int)
-
-
-# -------------------------------------------------------- serialization
-
-
-def lasso_to_dict(model: LassoModel) -> dict:
-    return {
-        "feature_names": list(model.feature_names),
-        "alpha": model.alpha.tolist(),
-        "intercept": model.intercept,
-        "mu": model.mu.tolist(),
-        "sd": model.sd.tolist(),
-        "lam": model.lam,
-        "sweeps_used": model.sweeps_used,
-        "converged": model.converged,
-        "objective_history": list(model.objective_history),
-    }
-
-
-def lasso_from_dict(d: dict) -> LassoModel:
-    return LassoModel(
-        feature_names=tuple(d["feature_names"]),
-        alpha=np.asarray(d["alpha"], dtype=float),
-        intercept=float(d["intercept"]),
-        mu=np.asarray(d["mu"], dtype=float),
-        sd=np.asarray(d["sd"], dtype=float),
-        lam=float(d["lam"]),
-        sweeps_used=int(d["sweeps_used"]),
-        converged=bool(d["converged"]),
-        objective_history=tuple(float(v) for v in d["objective_history"]),
-    )
-
-
-def save_lasso(model: LassoModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(lasso_to_dict(model), fh, indent=1)
-
-
-def load_lasso(path) -> LassoModel:
-    with open(path, encoding="utf-8") as fh:
-        return lasso_from_dict(json.load(fh))

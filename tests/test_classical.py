@@ -1,21 +1,15 @@
-"""Tests for the Siamese baselines: backprop correctness, training, I/O."""
+"""Tests for the Siamese baselines: backprop correctness and training."""
 
 import numpy as np
 import pytest
 
-import json
-import struct
-
 from artifact.classical import (
-    WEIGHT_MAGIC,
     CnnSpec,
     MlpSpec,
     SiameseModel,
     _pool_backward,
     _pool_forward,
     cnn_spec_for,
-    load_weights,
-    save_weights,
     train_siamese,
 )
 from artifact.dataset import generate_dataset
@@ -87,21 +81,6 @@ def test_cnn_backprop_fd_sweep():
     assert rel <= 1e-6, f"norm-wise relative gradient error {rel:.3e}"
 
 
-def test_exp_head_backprop_fd():
-    rng = np.random.default_rng(2)
-    model = SiameseModel(MlpSpec(8, (3, 2)), rng, head="exp")
-    X1 = rng.standard_normal((4, 8))
-    X2 = rng.standard_normal((4, 8))
-    y = np.array([0.0, 1.0, 0.0, 1.0])
-    _, _, analytic = model.loss_and_gradients(X1, X2, y)
-    numeric = fd_gradient_full(model, X1, X2, y)
-    # head params are unused by this head: their gradients must be zero
-    assert float(analytic[-1]) == 0.0 and float(analytic[-2]) == 0.0
-    rel = (np.linalg.norm(flatten_all(analytic) - flatten_all(numeric))
-           / max(np.linalg.norm(flatten_all(numeric)), 1e-12))
-    assert rel <= 1e-6
-
-
 def test_identical_inputs_give_zero_encoder_gradient():
     rng = np.random.default_rng(3)
     model = SiameseModel(MlpSpec(8, (4, 2)), rng)
@@ -121,13 +100,12 @@ def test_identical_inputs_give_zero_encoder_gradient():
 
 def test_prediction_symmetric_under_argument_swap():
     rng = np.random.default_rng(4)
-    for head in ("logistic", "exp"):
-        model = SiameseModel(MlpSpec(16, (8, 4)), rng, head=head)
-        X1 = rng.integers(0, 2, (7, 16)).astype(float)
-        X2 = rng.integers(0, 2, (7, 16)).astype(float)
-        p12, _ = model.forward(X1, X2)
-        p21, _ = model.forward(X2, X1)
-        np.testing.assert_allclose(p12, p21, atol=1e-12)
+    model = SiameseModel(MlpSpec(16, (8, 4)), rng)
+    X1 = rng.integers(0, 2, (7, 16)).astype(float)
+    X2 = rng.integers(0, 2, (7, 16)).astype(float)
+    p12, _ = model.forward(X1, X2)
+    p21, _ = model.forward(X2, X1)
+    np.testing.assert_allclose(p12, p21, atol=1e-12)
 
 
 def test_zero_encoder_weights_give_zero_embedding():
@@ -136,7 +114,7 @@ def test_zero_encoder_weights_give_zero_embedding():
     zeros = [np.zeros_like(p) for p in model.encoder.params()]
     model.encoder.set_params(zeros)
     X = rng.standard_normal((3, 8))
-    np.testing.assert_array_equal(model.encode(X), np.zeros((3, 2)))
+    np.testing.assert_array_equal(model.encoder.forward(X)[0], np.zeros((3, 2)))
     p, _ = model.forward(X, rng.standard_normal((3, 8)))
     np.testing.assert_allclose(p, 1.0 / (1.0 + np.exp(1.0)), atol=1e-12)
 
@@ -178,11 +156,6 @@ def test_cnn_spec_for_sizes():
 def test_cnn_flat_after_stack():
     assert CnnSpec(16).flat_after_stack() == 2 * 2 * 16
     assert CnnSpec(32).flat_after_stack() == 6 * 6 * 16
-
-
-def test_unknown_head_rejected():
-    with pytest.raises(ValueError, match="unknown head"):
-        SiameseModel(MlpSpec(8), np.random.default_rng(0), head="softmax")
 
 
 # ------------------------------------------------------------- training
@@ -235,60 +208,3 @@ def test_cnn_training_smoke():
                            record_every=5)
     assert np.isfinite(result.records[-1].train_loss)
     assert [rec.epoch for rec in result.records] == [0, 5, 10]
-
-
-# ------------------------------------------------------------ weight I/O
-
-
-def test_weight_round_trip_mlp(tmp_path):
-    rng = np.random.default_rng(8)
-    model = SiameseModel(MlpSpec(16, (4, 2)), rng)
-    X1 = rng.standard_normal((5, 16))
-    X2 = rng.standard_normal((5, 16))
-    path = tmp_path / "weights.bin"
-    save_weights(model, path)
-    clone = load_weights(path)
-    np.testing.assert_array_equal(clone.forward(X1, X2)[0],
-                                  model.forward(X1, X2)[0])
-    assert clone.head == model.head
-    assert isinstance(clone.spec, MlpSpec)
-
-
-def test_weight_round_trip_cnn(tmp_path):
-    rng = np.random.default_rng(9)
-    model = SiameseModel(CnnSpec(16), rng, head="exp")
-    X1 = rng.standard_normal((2, 256))
-    X2 = rng.standard_normal((2, 256))
-    path = tmp_path / "weights.bin"
-    save_weights(model, path)
-    clone = load_weights(path)
-    np.testing.assert_array_equal(clone.forward(X1, X2)[0],
-                                  model.forward(X1, X2)[0])
-    assert clone.head == "exp"
-
-
-def test_weight_file_with_emb_scale_field_loads(tmp_path):
-    """Older files carry an emb_scale header field; loading ignores it,
-    since every tensor is overwritten."""
-    rng = np.random.default_rng(10)
-    model = SiameseModel(MlpSpec(16, (4, 2)), rng)
-    path = tmp_path / "weights.bin"
-    save_weights(model, path)
-    raw = path.read_bytes()
-    (hlen,) = struct.unpack("<Q", raw[4:12])
-    header = json.loads(raw[12:12 + hlen])
-    assert "emb_scale" not in header
-    header["emb_scale"] = 0.5
-    old = json.dumps(header).encode()
-    path.write_bytes(WEIGHT_MAGIC + struct.pack("<Q", len(old)) + old
-                     + raw[12 + hlen:])
-    X = rng.standard_normal((3, 16))
-    np.testing.assert_array_equal(load_weights(path).forward(X, X[::-1])[0],
-                                  model.forward(X, X[::-1])[0])
-
-
-def test_weight_file_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(ValueError, match="bad magic"):
-        load_weights(path)

@@ -1,5 +1,7 @@
 """Dataset generation: rounding laws, partner construction, persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -260,3 +262,52 @@ def test_load_rejects_wrong_length(tmp_path):
                     '"samples": [{"x1": "0101", "x2": "0101", "y": 1}]}')
     with pytest.raises(DatasetFormatError, match="length"):
         load_dataset(path)
+
+
+VALID = {"n": 1, "epsilon": 0.5, "seed": 3,
+         "samples": [{"x1": "01", "x2": "11", "y": 1}]}
+
+
+def _with(field, value):
+    return {**VALID, field: value}
+
+
+def _with_sample(field, value):
+    return {**VALID, "samples": [{**VALID["samples"][0], field: value}]}
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(3, id="top-level-number"),
+    pytest.param(["n"], id="top-level-list"),
+    pytest.param(_with("n", True), id="n-bool"),
+    pytest.param(_with("n", 1.0), id="n-float"),
+    pytest.param(_with("epsilon", "abc"), id="epsilon-string"),
+    pytest.param(_with("epsilon", -1), id="epsilon-negative"),
+    pytest.param(_with("epsilon", float("nan")), id="epsilon-nan"),
+    pytest.param(_with("epsilon", float("inf")), id="epsilon-inf"),
+    pytest.param(_with("epsilon", True), id="epsilon-bool"),
+    pytest.param(_with("seed", 1.7), id="seed-float"),
+    pytest.param(_with("seed", float("nan")), id="seed-nan"),
+    pytest.param(_with("seed", True), id="seed-bool"),
+    pytest.param(_with("samples", "01"), id="samples-string"),
+    pytest.param(_with("samples", {"x1": "01"}), id="samples-object"),
+    pytest.param(_with("samples", ["01"]), id="sample-string"),
+    pytest.param(_with_sample("y", True), id="y-bool"),
+    pytest.param(_with_sample("y", 1.0), id="y-float"),
+    pytest.param(_with_sample("y", 2), id="y-out-of-range"),
+    pytest.param(_with_sample("x1", 5), id="x1-number"),
+    pytest.param(_with_sample("x2", [True, False]), id="x2-bool-list"),
+])
+def test_load_rejects_malformed_field_naming_the_file(tmp_path, content):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(content))
+    with pytest.raises(DatasetFormatError, match="malformed.json"):
+        load_dataset(path)
+
+
+def test_load_accepts_the_valid_template(tmp_path):
+    path = tmp_path / "valid.json"
+    path.write_text(json.dumps(VALID))
+    ds = load_dataset(path)
+    assert (ds.n, ds.epsilon, ds.seed) == (1, 0.5, 3)
+    assert isinstance(ds.seed, int) and ds.samples[0].label == 1

@@ -4,8 +4,15 @@ tests/golden_records.json holds, per case, the config overrides and the
 records at full precision (written by tests/make_golden_records.py).
 Integers, seeds, epochs and accuracies must match exactly; losses within
 LOSS_RTOL, which leaves room only for floating-point reassociation.
+
+Each case also runs under the benchmark's span tracer (perfbench/tracing.py,
+loaded read-only): the traced run must give the same records, find every
+function it wraps except the known-absent Adam pair, read what it needs off
+the call arguments and results, put every original back, and pass the
+benchmark's structural record check (perfbench/check.py).
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -15,14 +22,52 @@ from artifact import make_config, run_experiment
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_records.json").read_text())
 LOSS_RTOL = 1e-9
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# wrapped by the tracer, but Adam moved to optim.fit and is looked up there
+KNOWN_ABSENT = {"artifact.qnn_var.adam_step", "artifact.classical.adam_step"}
+# the row layout perfbench/check.py reads
+ROW_FIELDS = GOLDEN["fields"] + ["wall_ms"]
 
 
-@pytest.mark.parametrize("case", GOLDEN["cases"],
-                         ids=[f"{i}-{c['experiment']}"
-                              for i, c in enumerate(GOLDEN["cases"])])
-def test_golden_records(case):
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _traced_run(config):
+    tracing = _perfbench_module("tracing")
+    check = _perfbench_module("check")
+    originals = tracing.Tracer.originals()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.span(tracing.ROOT):
+            records = run_experiment(config)
+    finally:
+        tracer.uninstall()
+    assert tracing.Tracer.restored(originals)
+    assert tracer.counts["split_overlap"] == 0
+    assert set(tracer.missing) <= KNOWN_ABSENT, tracer.missing
+    rows = [[getattr(r, name) for name in ROW_FIELDS] for r in records]
+    assert check.check_structure(rows, config) == {}
+    return records
+
+
+CASES = [pytest.param(case, traced,
+                      id=f"{i}-{case['experiment']}" + ("-traced" if traced
+                                                        else ""))
+         for traced in (False, True)
+         for i, case in enumerate(GOLDEN["cases"])]
+
+
+@pytest.mark.parametrize("case, traced", CASES)
+def test_golden_records(case, traced):
     fields = GOLDEN["fields"]
-    rows = run_experiment(make_config(case["experiment"], **case["overrides"]))
+    config = make_config(case["experiment"], **case["overrides"])
+    rows = _traced_run(config) if traced else run_experiment(config)
     got = [[getattr(r, name) for name in fields] for r in rows]
     assert len(got) == len(case["rows"])
     for mine, ref in zip(got, case["rows"]):

@@ -435,3 +435,25 @@ def test_process_level_exit_code():
          "main(['validate-pool', '--n', '1']))"],
         capture_output=True, text=True)
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--experiment", "fig3", "--out", "{tmp}/missing_dir/x.csv"],
+    ["run", "--experiment", "fig3", "--out", "{tmp}"],
+    ["run", "--experiment", "fig3", "--config", "{tmp}",
+     "--out", "{tmp}/x.csv"],
+    ["summarize", "--in", "{tmp}"],
+    ["gen-data", "--n", "3", "--per-class", "2", "--out", "{tmp}"],
+    ["gen-data", "--n", "3", "--per-class", "2",
+     "--out", "{tmp}/missing_dir/x.json"],
+], ids=["run-out-missing-dir", "run-out-dir", "run-config-dir",
+        "summarize-in-dir", "gen-data-out-dir", "gen-data-out-missing-dir"])
+def test_cli_bad_path_exits_1_before_any_work(tmp_path, monkeypatch, capsys,
+                                              argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the path was checked")
+
+    monkeypatch.setattr("artifact.cli.run_experiment", no_work)
+    monkeypatch.setattr("artifact.cli.generate_dataset", no_work)
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 1
+    assert "error:" in capsys.readouterr().err

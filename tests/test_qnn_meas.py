@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from artifact.dataset import generate_dataset
+from artifact.optim import accuracy
 from artifact.qnn_meas import (
     extract_feature_matrix,
     extract_features,
     lasso_fit,
-    lasso_from_dict,
-    lasso_predict,
     lasso_scores,
-    lasso_to_dict,
     soft_threshold,
 )
 from artifact.statevec import forrelation
@@ -180,16 +178,6 @@ def test_lasso_scores_standardization_round_trip():
                                Z @ model.alpha + model.intercept, atol=1e-12)
 
 
-def test_lasso_predict_thresholds_at_half():
-    rng = np.random.default_rng(6)
-    F = rng.standard_normal((30, 2))
-    y = (F[:, 0] > 0).astype(float)
-    model = lasso_fit(F, y, lam=0.001)
-    preds = lasso_predict(model, F)
-    scores = lasso_scores(model, F)
-    np.testing.assert_array_equal(preds, (scores > 0.5).astype(int))
-
-
 def test_lasso_input_validation():
     with pytest.raises(ValueError):
         lasso_fit(np.zeros((4, 2)), np.zeros(5))
@@ -197,27 +185,6 @@ def test_lasso_input_validation():
         lasso_fit(np.zeros((4, 2)), np.zeros(4), lam=-0.1)
     with pytest.raises(ValueError):
         lasso_fit(np.zeros((4, 2)), np.zeros(4), feature_names=("a",))
-
-
-def test_lasso_serialization_round_trip(tmp_path):
-    rng = np.random.default_rng(8)
-    F = rng.standard_normal((20, 4))
-    y = (rng.random(20) > 0.5).astype(float)
-    model = lasso_fit(F, y, lam=0.02, feature_names=("a", "b", "c", "d"))
-    clone = lasso_from_dict(lasso_to_dict(model))
-    np.testing.assert_array_equal(clone.alpha, model.alpha)
-    np.testing.assert_array_equal(clone.mu, model.mu)
-    assert clone.feature_names == model.feature_names
-    assert clone.converged == model.converged
-    np.testing.assert_allclose(lasso_scores(clone, F),
-                               lasso_scores(model, F), atol=0)
-
-    from artifact.qnn_meas import load_lasso, save_lasso
-    path = tmp_path / "model.json"
-    save_lasso(model, path)
-    loaded = load_lasso(path)
-    np.testing.assert_allclose(lasso_scores(loaded, F),
-                               lasso_scores(model, F), atol=0)
 
 
 # -------------------------------------------------- end-to-end smoke
@@ -232,8 +199,8 @@ def test_lasso_separates_encoded_pairs_at_n4():
     model = lasso_fit(Ftr, train.labels().astype(float),
                       feature_names=tuple(pool.names()))
     assert model.converged
-    train_acc = float(np.mean(lasso_predict(model, Ftr) == train.labels()))
-    test_acc = float(np.mean(lasso_predict(model, Fte) == test.labels()))
+    train_acc = accuracy(lasso_scores(model, Ftr), train.labels())
+    test_acc = accuracy(lasso_scores(model, Fte), test.labels())
     assert train_acc >= 0.9
     assert test_acc >= 0.85
     # the forrelation-style product observable should be among the survivors
