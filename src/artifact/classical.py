@@ -18,6 +18,11 @@ by 0.01 so the initial distances are small and the MSE-through-sigmoid
 gradient does not start saturated. Training runs optim.fit, the loop qnn_u
 shares: full-batch Adam (1e-3) for at most 300 epochs, stopping early once
 training accuracy is perfect and at least 50 epochs have elapsed.
+
+Each train_siamese call builds its encoder inputs once (encoder.prepare:
+the CNN's first-layer im2col columns, which depend on the images alone).
+The test split is evaluated with cache=False: no backward caches, and the
+CNN pools by a maximum over the four strided views of each 2x2 block.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .optim import accuracy, fit
 
@@ -90,30 +96,30 @@ def he_uniform(rng, fan_in: int, shape) -> np.ndarray:
 # ----------------------------------------------------------- conv pieces
 
 
+def _im2col(X, k):
+    """Valid stride-1 patches: X (M,H,W,Cin) -> (M,H-k+1,W-k+1,k*k*Cin),
+    the last axis ordered (row offset, column offset, channel) like W."""
+    patches = sliding_window_view(X, (k, k), axis=(1, 2))  # (M,Ho,Wo,Cin,k,k)
+    return patches.transpose(0, 1, 2, 4, 5, 3).reshape(*patches.shape[:3], -1)
+
+
 def _conv_forward(X, W, b):
     """Valid 2-D convolution, stride 1. X (M,H,W,Cin), W (k,k,Cin,Cout)."""
-    M, H, Wd, Cin = X.shape
-    k = W.shape[0]
-    Cout = W.shape[3]
-    Ho, Wo = H - k + 1, Wd - k + 1
-    cols = np.empty((M, Ho, Wo, k * k * Cin))
-    idx = 0
-    for di in range(k):
-        for dj in range(k):
-            cols[..., idx * Cin:(idx + 1) * Cin] = X[:, di:di + Ho, dj:dj + Wo, :]
-            idx += 1
-    out = cols @ W.reshape(k * k * Cin, Cout) + b
-    return out, (X.shape, cols)
+    cols = _im2col(X, W.shape[0])
+    return cols @ W.reshape(-1, W.shape[3]) + b, (X.shape, cols)
 
 
 def _conv_backward(g, W, cache):
-    """g (M,Ho,Wo,Cout) -> (gX, gW, gb)."""
+    """g (M,Ho,Wo,Cout) -> (gX, gW, gb); gX is None for a cache without an
+    input shape (the first layer, whose input gradient is never used)."""
     Xshape, cols = cache
     k = W.shape[0]
     Cin, Cout = W.shape[2], W.shape[3]
     M, Ho, Wo, _ = g.shape
     gW = (cols.reshape(-1, k * k * Cin).T @ g.reshape(-1, Cout)).reshape(W.shape)
     gb = g.sum(axis=(0, 1, 2))
+    if Xshape is None:
+        return None, gW, gb
     gcols = g @ W.reshape(k * k * Cin, Cout).T
     gX = np.zeros(Xshape)
     idx = 0
@@ -124,30 +130,35 @@ def _conv_backward(g, W, cache):
     return gX, gW, gb
 
 
+def _pool_views(X):
+    """The (0,0), (0,1), (1,0), (1,1) strided views of the 2x2 blocks."""
+    Ho, Wo = X.shape[1] // 2, X.shape[2] // 2
+    return [X[:, i:2 * Ho:2, j:2 * Wo:2, :] for i in (0, 1) for j in (0, 1)]
+
+
+def _pool_max(X):
+    """2x2 max pool, stride 2, floor division, and no routing: (out, None)."""
+    v = _pool_views(X)
+    return np.maximum(np.maximum(v[0], v[1]), np.maximum(v[2], v[3])), None
+
+
 def _pool_forward(X):
-    """2x2 max pool, stride 2, floor division (odd trailing row/col dropped)."""
-    M, H, W, C = X.shape
-    Ho, Wo = H // 2, W // 2
-    blocks = (X[:, :2 * Ho, :2 * Wo, :]
-              .reshape(M, Ho, 2, Wo, 2, C)
-              .transpose(0, 1, 3, 5, 2, 4)
-              .reshape(M, Ho, Wo, C, 4))
-    arg = blocks.argmax(axis=-1)
-    out = np.take_along_axis(blocks, arg[..., None], axis=-1)[..., 0]
-    return out, (X.shape, arg)
+    """_pool_max plus the routing of each block's gradient to its first
+    maximum in _pool_views order (binary pixels make positive ties)."""
+    out = _pool_max(X)[0]
+    free = np.ones(out.shape, dtype=bool)
+    hits = []
+    for v in _pool_views(X):
+        hits.append(free & (v == out))
+        free &= ~hits[-1]
+    return out, (X.shape, hits)
 
 
 def _pool_backward(g, cache):
-    Xshape, arg = cache
-    M, H, W, C = Xshape
-    Ho, Wo = H // 2, W // 2
-    gblocks = np.zeros((M, Ho, Wo, C, 4))
-    np.put_along_axis(gblocks, arg[..., None], g[..., None], axis=-1)
+    Xshape, hits = cache
     gX = np.zeros(Xshape)
-    gX[:, :2 * Ho, :2 * Wo, :] = (gblocks
-                                  .reshape(M, Ho, Wo, C, 2, 2)
-                                  .transpose(0, 1, 4, 2, 5, 3)
-                                  .reshape(M, 2 * Ho, 2 * Wo, C))
+    for v, hit in zip(_pool_views(gX), hits):
+        np.copyto(v, g, where=hit)
     return gX
 
 
@@ -174,15 +185,19 @@ class MlpEncoder:
         self.W = [np.asarray(v) for v in values[:L]]
         self.b = [np.asarray(v) for v in values[L:]]
 
-    def forward(self, X):
-        acts = [X]
-        h = X
+    def prepare(self, X):
+        """The encoder's input: the barcodes as floats."""
+        return np.asarray(X, dtype=float)
+
+    def forward(self, X, cache=True):
+        h = self.prepare(X)
+        acts = [h]
         L = len(self.W)
         for i in range(L):
             z = h @ self.W[i] + self.b[i]
             h = np.maximum(z, 0.0) if i < L - 1 else z
             acts.append(h)
-        return h, acts
+        return h, (acts if cache else None)
 
     def backward(self, acts, g_emb, grads):
         """Accumulate into grads = [gW0, .., gW(L-1), gb0, .., gb(L-1)]."""
@@ -216,33 +231,39 @@ class CnnEncoder:
         self.W1, self.b1, self.W2, self.b2, self.Wd, self.bd = (
             np.asarray(v) for v in values)
 
-    def forward(self, X):
-        M = X.shape[0]
-        s = self.spec.side
-        img = X.reshape(M, s, s, 1)
-        z1, cache1 = _conv_forward(img, self.W1, self.b1)
-        a1 = np.maximum(z1, 0.0)
-        p1, pcache1 = _pool_forward(a1)
+    def prepare(self, X):
+        """First-layer im2col columns (M, Ho, Wo, k*k) of (M, side*side)
+        barcodes; columns already prepared pass through unchanged."""
+        X, s = np.asarray(X, dtype=float), self.spec.side
+        return X if X.ndim == 4 else _im2col(X.reshape(-1, s, s, 1),
+                                             self.spec.kernel)
+
+    def forward(self, X, cache=True):
+        pool = _pool_forward if cache else _pool_max  # evaluation: no routing
+        cols1 = self.prepare(X)
+        a1 = np.maximum(cols1 @ self.W1.reshape(-1, self.b1.size) + self.b1,
+                        0.0)
+        p1, pcache1 = pool(a1)
         z2, cache2 = _conv_forward(p1, self.W2, self.b2)
         a2 = np.maximum(z2, 0.0)
-        p2, pcache2 = _pool_forward(a2)
-        flat = p2.reshape(M, -1)
+        p2, pcache2 = pool(a2)
+        flat = p2.reshape(len(p2), -1)
         emb = flat @ self.Wd + self.bd
-        return emb, (cache1, z1, pcache1, cache2, z2, pcache2, p2.shape, flat)
+        if not cache:
+            return emb, None
+        return emb, ((None, cols1), a1, pcache1, cache2, a2, pcache2, p2.shape,
+                     flat)
 
     def backward(self, cache, g_emb, grads):
         """Accumulate into grads = [gW1, gb1, gW2, gb2, gWd, gbd]."""
-        cache1, z1, pcache1, cache2, z2, pcache2, p2shape, flat = cache
+        cache1, a1, pcache1, cache2, a2, pcache2, p2shape, flat = cache
         grads[4] += flat.T @ g_emb
         grads[5] += g_emb.sum(axis=0)
-        g = (g_emb @ self.Wd.T).reshape(p2shape)
-        g = _pool_backward(g, pcache2)
-        g = g * (z2 > 0)
-        g, gW2, gb2 = _conv_backward(g, self.W2, cache2)
+        g = _pool_backward((g_emb @ self.Wd.T).reshape(p2shape), pcache2)
+        g, gW2, gb2 = _conv_backward(g * (a2 > 0), self.W2, cache2)
         grads[2] += gW2
         grads[3] += gb2
-        g = _pool_backward(g, pcache1)
-        g = g * (z1 > 0)
+        g = _pool_backward(g, pcache1) * (a1 > 0)
         _, gW1, gb1 = _conv_backward(g, self.W1, cache1)
         grads[0] += gW1
         grads[1] += gb1
@@ -274,13 +295,15 @@ class SiameseModel:
         self.w_out = float(np.asarray(values[-2]).reshape(-1)[0])
         self.c_out = float(np.asarray(values[-1]).reshape(-1)[0])
 
-    def forward(self, X1, X2):
-        h1, c1 = self.encoder.forward(np.asarray(X1, dtype=float))
-        h2, c2 = self.encoder.forward(np.asarray(X2, dtype=float))
+    def forward(self, X1, X2, cache=True):
+        """Predictions for raw barcodes or encoder.prepare() inputs, and
+        the backward caches (None with cache=False)."""
+        h1, c1 = self.encoder.forward(X1, cache)
+        h2, c2 = self.encoder.forward(X2, cache)
         d = np.sum((h1 - h2) ** 2, axis=1)
         z = self.w_out * d + self.c_out
         p = 1.0 / (1.0 + np.exp(-z))
-        return p, (c1, c2, h1, h2, d)
+        return p, ((c1, c2, h1, h2, d) if cache else None)
 
     def loss_and_gradients(self, X1, X2, y):
         """MSE loss, predictions, and grads aligned with params()."""
@@ -311,9 +334,9 @@ class SiameseResult:
     stopped_early: bool
 
 
-def samples_to_arrays(samples):
-    X1 = np.asarray([s.x1 for s in samples], dtype=float)
-    X2 = np.asarray([s.x2 for s in samples], dtype=float)
+def samples_to_arrays(samples, prepare):
+    X1 = prepare([s.x1 for s in samples])
+    X2 = prepare([s.x2 for s in samples])
     y = np.asarray([s.label for s in samples], dtype=float)
     return X1, X2, y
 
@@ -325,9 +348,9 @@ def train_siamese(train_samples, spec, seed: int = 0,
     perfect and at least MIN_EPOCHS_BEFORE_STOP epochs have run. Epoch 0
     records the pre-training baseline."""
     model = SiameseModel(spec, np.random.default_rng(seed))
-    X1, X2, y = samples_to_arrays(train_samples)
+    X1, X2, y = samples_to_arrays(train_samples, model.encoder.prepare)
     if test_samples is not None:
-        tX1, tX2, ty = samples_to_arrays(test_samples)
+        tX1, tX2, ty = samples_to_arrays(test_samples, model.encoder.prepare)
 
     def loss_and_grad(p):
         model.set_params(p)
@@ -337,7 +360,7 @@ def train_siamese(train_samples, spec, seed: int = 0,
         if test_samples is None:
             return float("nan")
         model.set_params(p)
-        return accuracy(model.forward(tX1, tX2)[0], ty)
+        return accuracy(model.forward(tX1, tX2, cache=False)[0], ty)
 
     params, records, stopped_early = fit(
         model.params(), loss_and_grad, y, test_acc, epochs, lr, record_every,

@@ -35,6 +35,7 @@ import csv
 import hashlib
 import json
 import numbers
+import sys
 import time
 from dataclasses import dataclass
 
@@ -141,6 +142,8 @@ def make_config(experiment: str, **overrides) -> ExperimentConfig:
         if not _has_type(value, _FIELD_TYPES[key]):
             raise ConfigError(f"config field {key!r} has the wrong type: "
                               f"{value!r}")
+        if _FIELD_TYPES[key] is _REAL and not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"config field {key!r} is not a finite float")
         merged[key] = value
     for tup_field in ("per_class_counts", "models", "sweep_n"):
         if merged.get(tup_field) is not None:
@@ -250,6 +253,8 @@ def _draw_disjoint_test(n, epsilon, per_class, seed, train_keys, rounding,
 
 
 def _train_pool_and_test(config, n, trial, extra_tag=""):
+    """Training pool, disjoint test split and, for qnn_m, both feature
+    matrices (a row depends on its pair alone: prefixes share the pool's)."""
     data_seed = derive_seed(config.master_seed, config.experiment, trial,
                             extra_tag + "data")
     test_seed = derive_seed(config.master_seed, config.experiment, trial,
@@ -261,7 +266,12 @@ def _train_pool_and_test(config, n, trial, extra_tag=""):
     test = _draw_disjoint_test(n, config.epsilon, config.test_per_class,
                                test_seed, train_keys, config.rounding,
                                config.partner)
-    return train_pool, test
+    features = None
+    if "qnn_m" in config.models:
+        pool = _operator_pool(n)
+        features = (extract_feature_matrix(train_pool.samples, pool),
+                    extract_feature_matrix(test.samples, pool))
+    return train_pool, test, features
 
 
 _POOL_CACHE = {}
@@ -273,10 +283,10 @@ def _operator_pool(n):
     return _POOL_CACHE[n]
 
 
-def _run_qnn_m(train_samples, test_samples, config, n):
+def _run_qnn_m(train_samples, test_samples, config, n, features):
     pool = _operator_pool(n)
-    F_train = extract_feature_matrix(train_samples, pool)
-    F_test = extract_feature_matrix(test_samples, pool)
+    F_pool, F_test = features
+    F_train = F_pool[:len(train_samples)]
     y_train = np.array([s.label for s in train_samples], dtype=float)
     y_test = np.array([s.label for s in test_samples], dtype=float)
     model = lasso_fit(F_train, y_train, feature_names=tuple(pool.names()),
@@ -286,9 +296,10 @@ def _run_qnn_m(train_samples, test_samples, config, n):
                         accuracy(lasso_scores(model, F_test), y_test))]
 
 
-def _run_model(model_name, train_samples, test_samples, config, n, seed):
+def _run_model(model_name, train_samples, test_samples, config, n, seed,
+               features):
     if model_name == "qnn_m":
-        return _run_qnn_m(train_samples, test_samples, config, n)
+        return _run_qnn_m(train_samples, test_samples, config, n, features)
     # only the training fields the config sets; the trainers default the rest
     training = {name: getattr(config, name)
                 for name in ("epochs", "lr", "record_every")
@@ -304,7 +315,7 @@ def _run_model(model_name, train_samples, test_samples, config, n, seed):
 
 
 def _records_for_point(config, n, trial, train_samples, test_samples,
-                       tag_prefix=""):
+                       features, tag_prefix=""):
     rows = []
     M = len(train_samples)
     for model_name in config.models:
@@ -312,7 +323,7 @@ def _records_for_point(config, n, trial, train_samples, test_samples,
                            f"{tag_prefix}model:{model_name}:M{M}")
         t0 = time.perf_counter()
         point_rows = _run_model(model_name, train_samples, test_samples,
-                                config, n, seed)
+                                config, n, seed, features)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         for r in point_rows:
             rows.append(RunRecord(trial, model_name, n, M, int(r.epoch),
@@ -325,21 +336,21 @@ def run_fig3(config: ExperimentConfig):
     records = []
     per_class = max(config.per_class_counts)
     for trial in range(config.trials):
-        train_pool, test = _train_pool_and_test(config, config.n, trial)
+        train_pool, test, feats = _train_pool_and_test(config, config.n, trial)
         train = train_pool.samples[:2 * per_class]
         records.extend(_records_for_point(config, config.n, trial, train,
-                                          test.samples))
+                                          test.samples, feats))
     return records
 
 
 def run_fig4(config: ExperimentConfig):
     records = []
     for trial in range(config.trials):
-        train_pool, test = _train_pool_and_test(config, config.n, trial)
+        train_pool, test, feats = _train_pool_and_test(config, config.n, trial)
         for m_per in config.per_class_counts:
             train = train_pool.samples[:2 * m_per]  # interleaved => balanced
             records.extend(_records_for_point(config, config.n, trial, train,
-                                              test.samples,
+                                              test.samples, feats,
                                               tag_prefix=f"M{2 * m_per}:"))
     return records
 
@@ -349,11 +360,11 @@ def run_fig5(config: ExperimentConfig):
     per_class = max(config.per_class_counts)
     for n in config.sweep_n:
         for trial in range(config.trials):
-            train_pool, test = _train_pool_and_test(config, n, trial,
-                                                    extra_tag=f"n{n}:")
+            train_pool, test, feats = _train_pool_and_test(
+                config, n, trial, extra_tag=f"n{n}:")
             train = train_pool.samples[:2 * per_class]
             records.extend(_records_for_point(config, n, trial, train,
-                                              test.samples,
+                                              test.samples, feats,
                                               tag_prefix=f"n{n}:"))
     return records
 
@@ -440,9 +451,9 @@ def run_oracle_check(config: ExperimentConfig) -> dict:
                        models=("qnn_m",), epsilon=config.epsilon,
                        lam=config.lam, rounding=config.rounding,
                        partner=config.partner)
-    train_pool, test = _train_pool_and_test(cfg5, n5, 0)
+    train_pool, test, feats = _train_pool_and_test(cfg5, n5, 0)
     train = train_pool.samples
-    qnn_acc = _run_qnn_m(train, test.samples, cfg5, n5)[0].test_acc
+    qnn_acc = _run_qnn_m(train, test.samples, cfg5, n5, feats)[0].test_acc
     thr_acc = _threshold_classifier_accuracy(train, test.samples)
     report["threshold_vs_qnn_m"] = {
         "n": n5, "threshold_acc": thr_acc, "qnn_m_acc": qnn_acc,

@@ -7,6 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class NonFiniteLossError(ValueError):
+    """A training loss that is NaN or infinite (maps to CLI exit code 1)."""
+
+
 @dataclass
 class AdamState:
     m: list  # first-moment estimates, one array per parameter
@@ -62,17 +66,19 @@ def fit(params, loss_and_grad, labels, test_acc, epochs: int, lr: float,
     the next step's gradient, so an E-epoch run makes E + 1 calls. Every
     record_every-th epoch and the last one are recorded, and test_acc runs
     only there. With min_epochs_before_stop, training ends at the first
-    epoch at or after it with perfect train accuracy.
+    epoch at or after it with perfect train accuracy. A train loss that is
+    not finite raises NonFiniteLossError naming its epoch.
     """
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    loss, preds, grads = loss_and_grad(params)
-    records = [EpochRecord(0, loss, accuracy(preds, labels),
-                           test_acc(params))]
     state = adam_init(params)
-    for epoch in range(1, epochs + 1):
-        params = adam_step(params, grads, state, lr)
+    records = []
+    for epoch in range(epochs + 1):
+        if epoch:
+            params = adam_step(params, grads, state, lr)
         loss, preds, grads = loss_and_grad(params)
+        if not np.isfinite(loss):
+            raise NonFiniteLossError(f"train loss is {loss} at epoch {epoch}")
         acc = accuracy(preds, labels)
         stop = (min_epochs_before_stop is not None and acc == 1.0
                 and epoch >= min_epochs_before_stop)

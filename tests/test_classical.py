@@ -4,15 +4,22 @@ import numpy as np
 import pytest
 
 from artifact.classical import (
+    CnnEncoder,
     CnnSpec,
     MlpSpec,
     SiameseModel,
     _pool_backward,
     _pool_forward,
+    _pool_max,
     cnn_spec_for,
     train_siamese,
 )
 from artifact.dataset import generate_dataset
+from oracles import (
+    argmax_pool_backward,
+    argmax_pool_forward,
+    reference_cnn_gradients,
+)
 
 
 def fd_gradient_full(model, X1, X2, y, h=1e-5):
@@ -140,6 +147,71 @@ def test_pool_backward_routes_a_tie_to_the_first_maximum():
     expect[0, 0, 1, 0] = 3.0   # block 0: ties at (0, 1), (1, 0), (1, 1)
     expect[0, 0, 2, 0] = -2.0  # block 1: ties at (0, 2), (1, 3)
     np.testing.assert_array_equal(gX, expect)
+
+
+def plant_positive_ties(X, rng):
+    """Give a third of the 2x2 pool blocks 2 to 4 entries tied at a value
+    above every other entry."""
+    M, H, W, C = X.shape
+    for _ in range(M * (H // 2) * (W // 2) * C // 3):
+        m, i, j, c = (rng.integers(M), rng.integers(H // 2),
+                      rng.integers(W // 2), rng.integers(C))
+        value = 10.0 + rng.random()
+        for pos in rng.choice(4, rng.integers(2, 5), replace=False):
+            X[m, 2 * i + pos // 2, 2 * j + pos % 2, c] = value
+    return X
+
+
+@pytest.mark.parametrize("shape", [(2, 13, 13, 3), (2, 30, 30, 8),
+                                   (3, 14, 9, 2)])
+def test_strided_pool_matches_the_argmax_oracle_bit_for_bit(shape):
+    """Odd sides drop the trailing row/col; ReLU zeros tie whole blocks."""
+    rng = np.random.default_rng(sum(shape))
+    X = plant_positive_ties(np.maximum(rng.standard_normal(shape), 0.0), rng)
+    out, cache = _pool_forward(X)
+    ref_out, ref_cache = argmax_pool_forward(X)
+    assert out.tobytes() == ref_out.tobytes()
+    assert _pool_max(X)[0].tobytes() == ref_out.tobytes()
+    g = rng.standard_normal(out.shape)
+    assert (_pool_backward(g, cache).tobytes()
+            == argmax_pool_backward(g, ref_cache).tobytes())
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_cnn_encoder_matches_the_reference_route_bit_for_bit(n):
+    """Columns built once, strided pool routing and the weight-only layer-1
+    backward against the loop im2col, argmax pool and _conv_backward."""
+    rng = np.random.default_rng(n)
+    encoder = CnnEncoder(cnn_spec_for(n), rng)
+    X = rng.integers(0, 2, (3, 2 ** n)).astype(float)
+    g_emb = rng.standard_normal((3, encoder.spec.dense))
+    emb, cache = encoder.forward(encoder.prepare(X))
+    grads = [np.zeros_like(p) for p in encoder.params()]
+    encoder.backward(cache, g_emb, grads)
+    ref_emb, ref_grads = reference_cnn_gradients(encoder, X, g_emb)
+    np.testing.assert_array_equal(emb, ref_emb)
+    for got, ref in zip(grads, ref_grads):
+        np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("spec", [MlpSpec(64), cnn_spec_for(8),
+                                  cnn_spec_for(10)], ids=["mlp", "cnn8",
+                                                          "cnn10"])
+def test_cache_free_forward_equals_the_training_forward(spec):
+    """The test-split forward keeps no caches, on raw or prepared inputs."""
+    rng = np.random.default_rng(9)
+    model = SiameseModel(spec, rng)
+    N = 64 if isinstance(spec, MlpSpec) else spec.side ** 2
+    X1, X2 = (rng.integers(0, 2, (6, N)).astype(np.uint8) for _ in range(2))
+    p_train, caches = model.forward(X1, X2)
+    prepare = model.encoder.prepare
+    p_eval, none = model.forward(prepare(X1), prepare(X2), cache=False)
+    assert caches is not None and none is None
+    assert p_eval.tobytes() == p_train.tobytes()
+    assert model.forward(X1, X2, cache=False)[0].tobytes() == p_train.tobytes()
+    assert len(set(p_train)) == len(p_train)  # the pairs are told apart
+    emb = model.encoder.forward(X1)[0]
+    assert model.encoder.forward(X1, cache=False)[0].tobytes() == emb.tobytes()
 
 
 def test_cnn_spec_for_sizes():

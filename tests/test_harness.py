@@ -89,6 +89,12 @@ def test_invalid_values_rejected():
         make_config("fig3", rounding="foo")
     with pytest.raises(ConfigError, match="unknown partner mode"):
         make_config("fig3", partner="bar")
+    for field in ("epsilon", "lam", "lr"):
+        # an integer no float holds would overflow in training
+        for value in (float("nan"), float("inf"), -float("inf"), 10 ** 400):
+            with pytest.raises(ConfigError, match="is not a finite float"):
+                make_config("fig3", **{field: value})
+    assert make_config("fig3", lr=1e308).lr == 1e308
 
 
 def test_cnn_register_size_constraint():
@@ -288,6 +294,28 @@ def test_fig4_sweeps_nested_prefixes():
     assert all(r.n == 4 for r in records)
 
 
+@pytest.mark.parametrize("models", [("qnn_m", "dnn"), ("dnn",)])
+def test_fig4_extracts_features_once_per_trial(monkeypatch, models):
+    """The training pool's and the test split's rows, whatever the number
+    of prefixes; none without qnn_m."""
+    import artifact.harness as harness
+
+    sizes = []
+    extract = harness.extract_feature_matrix
+
+    def counting(samples, pool):
+        sizes.append(len(samples))
+        return extract(samples, pool)
+
+    monkeypatch.setattr(harness, "extract_feature_matrix", counting)
+    for counts in ((1, 2, 3), (3,)):
+        sizes.clear()
+        run_experiment(make_config("fig4", n=4, trials=2,
+                                   per_class_counts=counts, models=models,
+                                   test_per_class=4, epochs=2))
+        assert sizes == ([6, 8] * 2 if "qnn_m" in models else [])
+
+
 def test_fig5_sweeps_register_sizes():
     config = make_config("fig5", sweep_n=(2, 3), trials=1,
                          per_class_counts=(3,), models=("qnn_m",),
@@ -379,6 +407,9 @@ def test_cli_run_rejects_unknown_config_key(tmp_path):
     ("trials", True), ("models", "qnn_m"),
     # strings, but outside the mode field's choices
     ("rounding", "foo"), ("partner", "bar"),
+    # numbers, but not finite (JSON NaN and Infinity)
+    ("lr", float("nan")), ("lambda", float("nan")), ("epsilon", float("nan")),
+    ("lr", float("inf")), ("lr", 10 ** 400),
 ])
 def test_cli_run_rejects_wrongly_typed_config_field(tmp_path, capsys, field,
                                                     value):
@@ -389,6 +420,24 @@ def test_cli_run_rejects_wrongly_typed_config_field(tmp_path, capsys, field,
                  "--out", str(tmp_path / "x.csv")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_cli_run_exits_1_on_a_non_finite_training_loss(tmp_path, capsys):
+    """A huge finite lr blows the weights up; the first NaN loss ends the
+    run with exit 1 instead of writing nan rows."""
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "x.csv"
+    cfg.write_text(json.dumps({"experiment": "fig5", "sweep_n": [4],
+                               "trials": 1, "per_class_counts": [2],
+                               "test_per_class": 2, "models": ["dnn"],
+                               "epochs": 5, "lr": 1e300}))
+    code = main(["run", "--experiment", "fig5", "--config", str(cfg),
+                 "--out", str(out)])
+    assert code == 1
+    assert "train loss is nan at epoch" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_summarize_round_trip(tmp_path, capsys):

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from artifact.optim import EpochRecord, accuracy, adam_init, adam_step, fit
+from artifact.optim import (
+    EpochRecord,
+    NonFiniteLossError,
+    accuracy,
+    adam_init,
+    adam_step,
+    fit,
+)
 
 LABELS = np.array([0.0, 1.0, 1.0, 0.0])
 
@@ -123,3 +130,20 @@ def test_fit_with_zero_epochs_records_only_the_start():
     assert [r.epoch for r in records] == [0]
     assert float(params[0]) == 1.0 and not stopped
     assert records[0].train_loss == 1.0
+
+
+@pytest.mark.parametrize("bad_epoch, bad_loss", [
+    (0, float("nan")), (3, float("nan")), (2, float("inf")),
+])
+def test_fit_raises_naming_the_epoch_of_a_non_finite_train_loss(bad_epoch,
+                                                                bad_loss):
+    stub = Stub()
+
+    def loss_and_grad(params):
+        loss, preds, grads = stub.loss_and_grad(params)
+        return (bad_loss if stub.calls - 1 == bad_epoch else loss), preds, grads
+
+    with pytest.raises(NonFiniteLossError, match=f"at epoch {bad_epoch}$"):
+        fit([np.float64(1.0)], loss_and_grad, LABELS, stub.test_acc, 10, 0.1)
+    assert stub.calls == bad_epoch + 1  # stops at once
+    assert issubclass(NonFiniteLossError, ValueError)  # the CLI's exit 1
