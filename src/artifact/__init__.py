@@ -16,6 +16,7 @@ from .dataset import (
     load_dataset,
     sample_pair,
     save_dataset,
+    stack_pairs,
 )
 from .harness import (
     CSV_HEADER,
@@ -35,7 +36,6 @@ from .harness import (
 from .qnn_meas import (
     LassoModel,
     extract_feature_matrix,
-    extract_features,
     lasso_fit,
     lasso_scores,
 )
@@ -73,7 +73,6 @@ __all__ = [
     "emit_csv",
     "expectation",
     "extract_feature_matrix",
-    "extract_features",
     "forrelation",
     "fwht",
     "generate_dataset",
@@ -89,6 +88,7 @@ __all__ = [
     "run_oracle_check",
     "sample_pair",
     "save_dataset",
+    "stack_pairs",
     "summarize",
     "train_qnn_u",
     "train_siamese",

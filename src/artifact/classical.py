@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .dataset import stack_pairs
 from .optim import accuracy, fit
 
 DEFAULT_WIDTHS = (128, 64, 32)
@@ -335,10 +336,9 @@ class SiameseResult:
 
 
 def samples_to_arrays(samples, prepare):
-    X1 = prepare([s.x1 for s in samples])
-    X2 = prepare([s.x2 for s in samples])
-    y = np.asarray([s.label for s in samples], dtype=float)
-    return X1, X2, y
+    """(X1, X2, y) of stack_pairs, the barcodes passed through prepare."""
+    X1, X2, y = stack_pairs(samples)
+    return prepare(X1), prepare(X2), y
 
 
 def train_siamese(train_samples, spec, seed: int = 0,

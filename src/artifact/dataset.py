@@ -57,9 +57,10 @@ class SamplePair:
         if self.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {self.label}")
 
-    def key(self) -> tuple:
-        """Bitstring identity, used for train/test disjointness checks."""
-        return (bits_to_string(self.x1), bits_to_string(self.x2))
+    def key(self) -> bytes:
+        """The bytes of both uint8 barcodes, x1 first: equal exactly when
+        both barcodes are, used for train/test disjointness checks."""
+        return self.x1.tobytes() + self.x2.tobytes()
 
 
 @dataclass(frozen=True)
@@ -75,8 +76,15 @@ class Dataset:
             if s.x1.size != N:
                 raise ValueError("sample length inconsistent with n")
 
-    def labels(self) -> np.ndarray:
-        return np.array([s.label for s in self.samples], dtype=float)
+
+def stack_pairs(samples):
+    """(X1, X2, y): the pairs' barcodes as (S, N) uint8 rows and their
+    labels as floats, the one route from sample pairs to arrays."""
+    samples = tuple(samples)
+    X1 = np.array([s.x1 for s in samples], dtype=np.uint8)
+    X2 = np.array([s.x2 for s in samples], dtype=np.uint8)
+    y = np.array([s.label for s in samples], dtype=float)
+    return X1, X2, y
 
 
 def truncate(z):

@@ -51,6 +51,7 @@ from .dataset import (
     default_epsilon,
     generate_dataset,
     sample_pair,
+    stack_pairs,
 )
 from .optim import EpochRecord, accuracy
 from .qnn_meas import (
@@ -180,11 +181,24 @@ def _validate_config(c: ExperimentConfig) -> None:
         if m not in KNOWN_MODELS:
             raise ConfigError(f"unknown model {m!r}; expected one of "
                               f"{', '.join(KNOWN_MODELS)}")
+    # a field the experiment would ignore is an error, not a no-op
+    if c.experiment in ("fig3", "fig5") and len(c.per_class_counts) > 1:
+        raise ConfigError(f"{c.experiment} takes one per-class training "
+                          f"count, got {list(c.per_class_counts)}")
+    if (c.experiment == "fig4"
+            and len(set(c.per_class_counts)) < len(c.per_class_counts)):
+        raise ConfigError("fig4 per-class training counts must not repeat")
     if c.experiment == "fig5":
         if not c.sweep_n or any(n < 2 for n in c.sweep_n):
             raise ConfigError("fig5 sweep_n must contain sizes >= 2")
-    elif c.n is None or c.n < 2:
-        raise ConfigError("n must be >= 2")
+        if c.n is not None:
+            raise ConfigError("fig5 sweeps sweep_n; n must not be set")
+    else:
+        if c.n is None or c.n < 2:
+            raise ConfigError("n must be >= 2")
+        if c.sweep_n is not None and c.experiment != "oracle":
+            raise ConfigError(f"{c.experiment} runs at one n; sweep_n is "
+                              "for fig5 only")
     sizes = c.sweep_n if c.experiment == "fig5" else (c.n,)
     if "cnn" in c.models and any(n not in (8, 10) for n in sizes):
         raise ConfigError("cnn requires n in {8, 10}")
@@ -287,8 +301,8 @@ def _run_qnn_m(train_samples, test_samples, config, n, features):
     pool = _operator_pool(n)
     F_pool, F_test = features
     F_train = F_pool[:len(train_samples)]
-    y_train = np.array([s.label for s in train_samples], dtype=float)
-    y_test = np.array([s.label for s in test_samples], dtype=float)
+    y_train = stack_pairs(train_samples)[2]
+    y_test = stack_pairs(test_samples)[2]
     model = lasso_fit(F_train, y_train, feature_names=tuple(pool.names()),
                       lam=config.lam)
     return [EpochRecord(model.sweeps_used, model.objective_history[-1],
@@ -330,43 +344,6 @@ def _records_for_point(config, n, trial, train_samples, test_samples,
                                   float(r.train_loss), float(r.train_acc),
                                   float(r.test_acc), seed, wall_ms))
     return rows
-
-
-def run_fig3(config: ExperimentConfig):
-    records = []
-    per_class = max(config.per_class_counts)
-    for trial in range(config.trials):
-        train_pool, test, feats = _train_pool_and_test(config, config.n, trial)
-        train = train_pool.samples[:2 * per_class]
-        records.extend(_records_for_point(config, config.n, trial, train,
-                                          test.samples, feats))
-    return records
-
-
-def run_fig4(config: ExperimentConfig):
-    records = []
-    for trial in range(config.trials):
-        train_pool, test, feats = _train_pool_and_test(config, config.n, trial)
-        for m_per in config.per_class_counts:
-            train = train_pool.samples[:2 * m_per]  # interleaved => balanced
-            records.extend(_records_for_point(config, config.n, trial, train,
-                                              test.samples, feats,
-                                              tag_prefix=f"M{2 * m_per}:"))
-    return records
-
-
-def run_fig5(config: ExperimentConfig):
-    records = []
-    per_class = max(config.per_class_counts)
-    for n in config.sweep_n:
-        for trial in range(config.trials):
-            train_pool, test, feats = _train_pool_and_test(
-                config, n, trial, extra_tag=f"n{n}:")
-            train = train_pool.samples[:2 * per_class]
-            records.extend(_records_for_point(config, n, trial, train,
-                                              test.samples, feats,
-                                              tag_prefix=f"n{n}:"))
-    return records
 
 
 # ------------------------------------------------------------ oracle
@@ -423,12 +400,10 @@ def run_oracle_check(config: ExperimentConfig) -> dict:
             derive_seed(config.master_seed, "oracle", n, "stats"))
         eps = (config.epsilon if config.epsilon is not None
                else default_epsilon(n))
-        f_corr = np.array([forrelation(*_pair_bits(sample_pair(
-            n, eps, True, rng, config.rounding, config.partner)))
-            for _ in range(per_class)])
-        f_unc = np.array([forrelation(*_pair_bits(sample_pair(
-            n, eps, False, rng, config.rounding, config.partner)))
-            for _ in range(per_class)])
+        f_corr, f_unc = (_forrelations([
+            sample_pair(n, eps, correlated, rng, config.rounding,
+                        config.partner) for _ in range(per_class)])[0]
+            for correlated in (True, False))
         se = np.sqrt(f_corr.var(ddof=1) / per_class
                      + f_unc.var(ddof=1) / per_class)
         separation = (f_corr.mean() - f_unc.mean()) / se if se > 0 else np.inf
@@ -468,14 +443,15 @@ def run_oracle_check(config: ExperimentConfig) -> dict:
     return report
 
 
-def _pair_bits(s):
-    return s.x1, s.x2
+def _forrelations(samples):
+    """(F per pair, labels) of a sequence of sample pairs."""
+    X1, X2, y = stack_pairs(samples)
+    return np.array([forrelation(x1, x2) for x1, x2 in zip(X1, X2)]), y
 
 
 def _threshold_classifier_accuracy(train_samples, test_samples) -> float:
     """Best single threshold on F fit on the training split."""
-    f_train = np.array([forrelation(s.x1, s.x2) for s in train_samples])
-    y_train = np.array([s.label for s in train_samples])
+    f_train, y_train = _forrelations(train_samples)
     candidates = np.concatenate([[0.0], np.sort(f_train), [1.0]])
     best_thr, best_acc = 0.5, -1.0
     for i in range(candidates.size - 1):
@@ -483,22 +459,37 @@ def _threshold_classifier_accuracy(train_samples, test_samples) -> float:
         acc = float(np.mean((f_train < thr).astype(int) == y_train))
         if acc > best_acc:
             best_acc, best_thr = acc, thr
-    f_test = np.array([forrelation(s.x1, s.x2) for s in test_samples])
-    y_test = np.array([s.label for s in test_samples])
+    f_test, y_test = _forrelations(test_samples)
     return float(np.mean((f_test < best_thr).astype(int) == y_test))
 
 
 def run_experiment(config: ExperimentConfig):
-    """Dispatch; figure experiments return records, oracle returns a report."""
-    if config.experiment == "fig3":
-        return run_fig3(config)
-    if config.experiment == "fig4":
-        return run_fig4(config)
-    if config.experiment == "fig5":
-        return run_fig5(config)
+    """Figure experiments return records, oracle returns a report.
+
+    A figure runs one trial per (n, trial), each on one training pool and
+    test split, and trains every model on the class-balanced prefix of each
+    per-class count. fig5 tags its data and model seeds with the register
+    size, fig4 its model seeds with M; fig3 tags neither.
+    """
     if config.experiment == "oracle":
         return run_oracle_check(config)
-    raise ConfigError(f"unknown experiment {config.experiment!r}")
+    if config.experiment not in ("fig3", "fig4", "fig5"):
+        raise ConfigError(f"unknown experiment {config.experiment!r}")
+    fig5 = config.experiment == "fig5"
+    records = []
+    for n in config.sweep_n if fig5 else (config.n,):
+        n_tag = f"n{n}:" if fig5 else ""
+        for trial in range(config.trials):
+            train_pool, test, feats = _train_pool_and_test(config, n, trial,
+                                                           n_tag)
+            for m_per in config.per_class_counts:
+                model_tag = (f"M{2 * m_per}:" if config.experiment == "fig4"
+                             else n_tag)
+                train = train_pool.samples[:2 * m_per]  # interleaved: balanced
+                records.extend(_records_for_point(config, n, trial, train,
+                                                  test.samples, feats,
+                                                  model_tag))
+    return records
 
 
 # --------------------------------------------------------------- CSV

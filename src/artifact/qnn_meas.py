@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import fwht, phase_state
+from .dataset import stack_pairs
+from .statevec import fwht, phase_rows
 from .symmetry import OperatorPool
 
 DEFAULT_LAMBDA = 0.03
@@ -30,59 +31,49 @@ DEFAULT_LAMBDA = 0.03
 # ------------------------------------------------------------ features
 
 
-def _pair_masks(n: int):
-    """XOR masks for nearest-neighbour qubit pairs (i, i+1), i = 0..n-2."""
-    return [0b11 << (n - 2 - i) for i in range(n - 1)]
-
-
-def _fast_feature(name: str, a1: np.ndarray, a2: np.ndarray, n: int) -> float:
-    """Expectation of the named pool observable on |a1> (x) |a2>, real inputs."""
-    idx = np.arange(a1.size)
-    if name == "sum_y":
-        # single-Y terms pair (j, j^m) with opposite signs: identically zero
-        return 0.0
-    if name in ("sum_xx", "sum_yy", "sum_zz"):
-        total = 0.0
-        for a in (a1, a2):
-            for m in _pair_masks(n):
-                sign = 1.0 - 2.0 * (np.bitwise_count(idx & m) & 1)
-                if name == "sum_xx":
-                    total += float(np.dot(a, a[idx ^ m]))
-                elif name == "sum_yy":
-                    total -= float(np.dot(sign * a, a[idx ^ m]))
-                else:
-                    total += float(np.dot(sign * a, a))
-        return total
-    if name == "x_all":
-        # X^(x)n reverses basis order: j -> ~j
-        return float(np.dot(a1, a1[::-1]) * np.dot(a2, a2[::-1]))
-    if name == "z_all":
-        sign = 1.0 - 2.0 * (np.bitwise_count(idx) & 1)
-        return float(np.dot(sign * a1, a1) * np.dot(sign * a2, a2))
-    if name == "swap":
-        return float(np.dot(a1, a2) ** 2)
-    if name == "wht_all":
-        return float(np.dot(a1, fwht(a1)) * np.dot(a2, fwht(a2)))
-    if name == "swap_x_all":
-        return float(np.dot(a1, a2[::-1]) ** 2)
-    if name == "swap_wht":
-        return float(np.dot(a1, fwht(a2)) ** 2)
-    raise ValueError(f"pool entry {name!r} has no closed-form feature")
-
-
-def extract_features(x1, x2, pool: OperatorPool) -> np.ndarray:
-    """Feature vector (one entry per pool observable) for a barcode pair."""
-    a1 = phase_state(x1)
-    a2 = phase_state(x2)
-    if a1.size != 2 ** pool.n or a2.size != 2 ** pool.n:
-        raise ValueError("barcode length does not match the pool register size")
-    return np.array([_fast_feature(entry.name, a1, a2, pool.n)
-                     for entry in pool.entries])
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)
 
 
 def extract_feature_matrix(samples, pool: OperatorPool) -> np.ndarray:
-    """Stack extract_features over an iterable of sample pairs -> (M, K)."""
-    return np.asarray([extract_features(s.x1, s.x2, pool) for s in samples])
+    """(S, K) features of S sample pairs, one column per pool observable:
+    its expectation on |a1> (x) |a2>, from the closed forms over all rows
+    at once."""
+    X1, X2, _ = stack_pairs(samples)
+    n, N = pool.n, 2 ** pool.n
+    if X1.shape[1] != N:
+        raise ValueError("barcode length does not match the pool register size")
+    A1, A2 = phase_rows(X1), phase_rows(X2)
+    idx = np.arange(N)
+
+    def parity_sign(mask):
+        return 1.0 - 2.0 * (np.bitwise_count(idx & mask) & 1)
+
+    # nearest-neighbour qubit pairs (i, i+1) of each register: XX flips both
+    # bits, YY flips them with the sign of their parity, ZZ is that sign
+    xx = yy = zz = 0.0
+    for A in (A1, A2):
+        for i in range(n - 1):
+            mask = 0b11 << (n - 2 - i)
+            flipped, signed = A[:, idx ^ mask], parity_sign(mask) * A
+            xx = xx + _rowdot(A, flipped)
+            yy = yy - _rowdot(signed, flipped)
+            zz = zz + _rowdot(signed, A)
+    z = parity_sign(N - 1)
+    W2 = fwht(A2, axis=1)
+    closed = {
+        # single-Y terms pair (j, j^m) with opposite signs: identically zero
+        "sum_y": np.zeros(len(A1)),
+        "sum_xx": xx, "sum_yy": yy, "sum_zz": zz,
+        # X^(x)n reverses basis order: j -> ~j
+        "x_all": _rowdot(A1, A1[:, ::-1]) * _rowdot(A2, A2[:, ::-1]),
+        "z_all": _rowdot(z * A1, A1) * _rowdot(z * A2, A2),
+        "swap": _rowdot(A1, A2) ** 2,
+        "wht_all": _rowdot(A1, fwht(A1, axis=1)) * _rowdot(A2, W2),
+        "swap_x_all": _rowdot(A1, A2[:, ::-1]) ** 2,
+        "swap_wht": _rowdot(A1, W2) ** 2,
+    }
+    return np.column_stack([closed[name] for name in pool.names()])
 
 
 # --------------------------------------------------------------- LASSO

@@ -38,13 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import stack_pairs
 from .optim import accuracy, fit
 from .statevec import (
     apply_observable,
     commutes,
     expectation_batch,
-    phase_state,
-    product_state,
+    phase_rows,
 )
 from .symmetry import OperatorPool, PoolEntry
 
@@ -85,10 +85,16 @@ def generator_entries(pool: OperatorPool, spec: AnsatzSpec):
     return [pool.entry(name) for name in spec.generator_names]
 
 
-def encode_pairs(samples, n: int) -> np.ndarray:
-    """Stack encoded pair states column-wise: (4**n, S) complex."""
-    cols = [product_state(phase_state(s.x1), phase_state(s.x2)) for s in samples]
-    return np.asarray(cols, dtype=complex).T
+def encode_pairs(samples, n: int):
+    """(states, y): the pairs' product states column-wise, (4**n, S)
+    complex, and their labels. Amplitude (j, k) of a pair is a1[j] * a2[k],
+    the one multiply of np.kron."""
+    X1, X2, y = stack_pairs(samples)
+    if X1.shape[1] != 2 ** n:
+        raise ValueError("barcode length does not match the register size")
+    A1, A2 = phase_rows(X1), phase_rows(X2)
+    states = (A1[:, :, None] * A2[:, None, :]).reshape(len(A1), -1)
+    return np.asarray(states, dtype=complex).T, y
 
 
 def pruned_blocks(pool: OperatorPool, spec: AnsatzSpec,
@@ -213,11 +219,9 @@ def train_qnn_u(train_samples, pool: OperatorPool, spec: AnsatzSpec = None,
     pruned = pruned_blocks(pool, spec, observable)
     factors = ansatz_factors(pool, spec, spec.param_count() - pruned)
     init = init_params(spec, np.random.default_rng(seed))
-    states = encode_pairs(train_samples, pool.n)
-    y = np.asarray([s.label for s in train_samples], dtype=float)
+    states, y = encode_pairs(train_samples, pool.n)
     if test_samples is not None:
-        test_states = encode_pairs(test_samples, pool.n)
-        y_test = np.asarray([s.label for s in test_samples], dtype=float)
+        test_states, y_test = encode_pairs(test_samples, pool.n)
 
     def unpack(p) -> QnnUParams:
         return QnnUParams(p[0], float(p[1]), float(p[2]))

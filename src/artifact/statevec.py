@@ -55,11 +55,15 @@ def bits_to_string(bits: np.ndarray) -> str:
     return "".join("1" if b else "0" for b in np.asarray(bits))
 
 
+def phase_rows(bits: np.ndarray) -> np.ndarray:
+    """amps[..., j] = (-1)**bits[..., j] / sqrt(N) along the last axis, so
+    an (S, N) stack of barcodes gives S phase states as rows."""
+    return np.where(bits == 0, 1.0, -1.0) / np.sqrt(bits.shape[-1])
+
+
 def phase_state(bits) -> np.ndarray:
     """amps[j] = (-1)**bits[j] / sqrt(N); a real unit vector."""
-    bits = as_bits(bits)
-    N = bits.size
-    return np.where(bits == 0, 1.0, -1.0) / np.sqrt(N)
+    return phase_rows(as_bits(bits))
 
 
 def product_state(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ import pytest
 import scipy.linalg
 
 from artifact.classical import MlpSpec, SiameseModel
-from artifact.dataset import SamplePair, generate_dataset
+from artifact.dataset import SamplePair, generate_dataset, stack_pairs
 from artifact.harness import make_config, run_experiment, summarize
 from artifact.qnn_meas import extract_feature_matrix, lasso_fit, lasso_scores
 from artifact.qnn_var import (
@@ -242,7 +242,7 @@ def test_acceptance_5_equivariance_and_invariance():
                     for s in train.samples]
 
     F = extract_feature_matrix(train.samples, pool)
-    y = train.labels()
+    y = stack_pairs(train.samples)[2]
     lasso = lasso_fit(F, y, feature_names=tuple(pool.names()))
     worst_m = 0.0
     for variant in (exchanged, complemented):
@@ -254,7 +254,7 @@ def test_acceptance_5_equivariance_and_invariance():
     observable = pool.entry("swap")
 
     def qnn_u_predictions(samples):
-        states = encode_pairs(samples, n)
+        states = encode_pairs(samples, n)[0]
         return model_eval(states, result.params, pool, spec, observable)
 
     base = qnn_u_predictions(train.samples)
@@ -301,8 +301,7 @@ def test_acceptance_6_numerical_cross_checks():
     # real loss; `swap` commutes with every generator (zero angle gradient),
     # the other readouts do not
     train = generate_dataset(n, None, 6, seed=3)
-    states = encode_pairs(train.samples, n)
-    y = train.labels()
+    states, y = encode_pairs(train.samples, n)
     params = init_params(AnsatzSpec(), np.random.default_rng(7))
     grad_err = 0.0
     adjoint_err = 0.0

@@ -16,6 +16,7 @@ from artifact.dataset import (
     sample_pair,
     save_dataset,
     sign_round,
+    stack_pairs,
     truncate,
 )
 from artifact.statevec import forrelation, fwht
@@ -91,6 +92,35 @@ def test_sample_pair_labels():
     rng = np.random.default_rng(5)
     assert sample_pair(2, 1.0, True, rng).label == 0
     assert sample_pair(2, 1.0, False, rng).label == 1
+
+
+def test_key_is_equal_exactly_when_both_barcodes_are():
+    """Over all pairs of 2-qubit barcodes (16 x 16): keys collide exactly
+    when both barcodes are bit-equal, and (x1, x2) differs from (x2, x1)."""
+    codes = [np.array(bits, dtype=np.uint8)
+             for bits in np.ndindex(2, 2, 2, 2)]
+    pairs = [SamplePair(a, b, 0) for a in codes for b in codes]
+    keys = [s.key() for s in pairs]
+    assert len(set(keys)) == len(pairs)
+    for s, k in zip(pairs, keys):
+        assert SamplePair(s.x1.copy(), s.x2.copy(), 1).key() == k
+        assert (SamplePair(s.x2, s.x1, 0).key() == k) == bool(
+            np.array_equal(s.x1, s.x2))
+    # a 3-qubit pair never shares a key with a 2-qubit one
+    wide = SamplePair(np.zeros(8, np.uint8), np.zeros(8, np.uint8), 0)
+    assert wide.key() not in set(keys)
+
+
+def test_stack_pairs_rows_and_labels():
+    ds = generate_dataset(n=3, epsilon=None, count_per_class=3, seed=4)
+    X1, X2, y = stack_pairs(ds.samples)
+    assert X1.shape == X2.shape == (6, 8)
+    assert X1.dtype == X2.dtype == np.uint8
+    assert y.dtype == float
+    for i, s in enumerate(ds.samples):
+        assert np.array_equal(X1[i], s.x1) and np.array_equal(X2[i], s.x2)
+        assert y[i] == s.label
+    assert list(y) == [0.0, 1.0] * 3
 
 
 def test_sample_pair_validates_parameters():

@@ -95,6 +95,18 @@ def test_invalid_values_rejected():
             with pytest.raises(ConfigError, match="is not a finite float"):
                 make_config("fig3", **{field: value})
     assert make_config("fig3", lr=1e308).lr == 1e308
+    # fields the experiment would silently ignore
+    with pytest.raises(ConfigError, match="one per-class training count"):
+        make_config("fig3", per_class_counts=(1, 5, 10))
+    with pytest.raises(ConfigError, match="one per-class training count"):
+        make_config("fig5", per_class_counts=(2, 3))
+    with pytest.raises(ConfigError, match="must not repeat"):
+        make_config("fig4", per_class_counts=(1, 1))
+    for experiment in ("fig3", "fig4"):
+        with pytest.raises(ConfigError, match="sweep_n is for fig5 only"):
+            make_config(experiment, sweep_n=(4, 5))
+    with pytest.raises(ConfigError, match="n must not be set"):
+        make_config("fig5", n=4)
 
 
 def test_cnn_register_size_constraint():
@@ -420,6 +432,19 @@ def test_cli_run_rejects_wrongly_typed_config_field(tmp_path, capsys, field,
                  "--out", str(tmp_path / "x.csv")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_a_field_the_experiment_ignores(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "x.csv"
+    cfg.write_text(json.dumps({"experiment": "fig3", "n": 3, "trials": 1,
+                               "models": ["qnn_m"],
+                               "per_class_counts": [1, 5, 10]}))
+    code = main(["run", "--experiment", "fig3", "--config", str(cfg),
+                 "--out", str(out)])
+    assert code == 1
+    assert "one per-class training count" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",

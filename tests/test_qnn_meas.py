@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from artifact.dataset import generate_dataset
+from artifact.dataset import SamplePair, generate_dataset, stack_pairs
 from artifact.optim import accuracy
 from artifact.qnn_meas import (
     extract_feature_matrix,
-    extract_features,
     lasso_fit,
     lasso_scores,
     soft_threshold,
@@ -17,44 +16,47 @@ from artifact.symmetry import build_pool
 from oracles import lambda_max, lasso_objective, structured_features
 
 
-def random_pair(rng, n):
+def random_pairs(rng, n, count):
+    """count random labelled pairs of n-qubit barcodes."""
     N = 2 ** n
-    return (rng.integers(0, 2, N).astype(np.uint8),
-            rng.integers(0, 2, N).astype(np.uint8))
+    bits = rng.integers(0, 2, (count, 2, N)).astype(np.uint8)
+    return [SamplePair(x1, x2, int(rng.integers(0, 2))) for x1, x2 in bits]
+
+
+def feature_row(x1, x2, pool):
+    return extract_feature_matrix([SamplePair(x1, x2, 0)], pool)[0]
 
 
 # ------------------------------------------------------------ features
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_fast_path_matches_structured_path(n):
+    """One batched call against the simulator, pair by pair."""
     pool = build_pool(n)
-    rng = np.random.default_rng(42)
-    for _ in range(12):
-        x1, x2 = random_pair(rng, n)
-        fast = extract_features(x1, x2, pool)
-        slow = structured_features(x1, x2, pool)
-        np.testing.assert_allclose(fast, slow, atol=1e-10)
+    pairs = random_pairs(np.random.default_rng(42), n, 60)
+    F = extract_feature_matrix(pairs, pool)
+    assert F.shape == (60, len(pool.entries))
+    for row, s in zip(F, pairs):
+        np.testing.assert_allclose(row, structured_features(s.x1, s.x2, pool),
+                                   rtol=0, atol=1e-10)
 
 
 def test_swap_wht_feature_is_forrelation():
     pool = build_pool(3)
     k = pool.names().index("swap_wht")
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        x1, x2 = random_pair(rng, 3)
-        feats = extract_features(x1, x2, pool)
-        assert abs(feats[k] - forrelation(x1, x2)) <= 1e-12
+    pairs = random_pairs(np.random.default_rng(7), 3, 10)
+    F = extract_feature_matrix(pairs, pool)
+    for row, s in zip(F, pairs):
+        assert abs(row[k] - forrelation(s.x1, s.x2)) <= 1e-12
 
 
 def test_zero_valued_features_on_phase_states():
     """Single-Y and Z-diagonal observables vanish on any phase-state pair."""
     pool = build_pool(3)
     names = pool.names()
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        x1, x2 = random_pair(rng, 3)
-        feats = structured_features(x1, x2, pool)
+    for s in random_pairs(np.random.default_rng(3), 3, 5):
+        feats = structured_features(s.x1, s.x2, pool)
         for zero_name in ("sum_y", "sum_zz", "z_all"):
             assert abs(feats[names.index(zero_name)]) <= 1e-12
 
@@ -63,36 +65,42 @@ def test_swap_feature_is_squared_overlap():
     pool = build_pool(2)
     k = pool.names().index("swap")
     x = np.array([0, 1, 1, 0], dtype=np.uint8)
-    feats = extract_features(x, x, pool)
-    assert abs(feats[k] - 1.0) <= 1e-12
+    assert abs(feature_row(x, x, pool)[k] - 1.0) <= 1e-12
 
 
 def test_feature_rows_invariant_under_exchange_and_complement():
-    pool = build_pool(3)
+    """Rows are unchanged by (x1, x2) -> (x2, x1) and by complementing both
+    barcodes, over 120 random pairs at each of n = 3, 4, 5."""
     rng = np.random.default_rng(11)
-    for _ in range(8):
-        x1, x2 = random_pair(rng, 3)
-        base = extract_features(x1, x2, pool)
-        np.testing.assert_allclose(extract_features(x2, x1, pool), base,
-                                   atol=1e-12)
-        np.testing.assert_allclose(extract_features(1 - x1, 1 - x2, pool),
-                                   base, atol=1e-12)
+    for n in (3, 4, 5):
+        pool = build_pool(n)
+        pairs = random_pairs(rng, n, 120)
+        base = extract_feature_matrix(pairs, pool)
+        exchanged = [SamplePair(s.x2, s.x1, s.label) for s in pairs]
+        complemented = [SamplePair(1 - s.x1, 1 - s.x2, s.label)
+                        for s in pairs]
+        for variant in (exchanged, complemented):
+            np.testing.assert_allclose(extract_feature_matrix(variant, pool),
+                                       base, rtol=0, atol=1e-12)
 
 
 def test_extract_rejects_length_mismatch():
     pool = build_pool(3)
     x = np.array([0, 1, 0, 0], dtype=np.uint8)  # length 4 but pool wants 8
     with pytest.raises(ValueError, match="register size"):
-        extract_features(x, x, pool)
+        feature_row(x, x, pool)
 
 
 def test_feature_matrix_shape_and_rows():
+    """A row depends on its own pair alone: each row of a batch equals the
+    one-pair matrix of that pair."""
     ds = generate_dataset(n=3, epsilon=None, count_per_class=4, seed=9)
     pool = build_pool(3)
     F = extract_feature_matrix(ds.samples, pool)
     assert F.shape == (8, 10)
-    row0 = extract_features(ds.samples[0].x1, ds.samples[0].x2, pool)
-    np.testing.assert_allclose(F[0], row0)
+    for row, s in zip(F, ds.samples):
+        np.testing.assert_allclose(row, feature_row(s.x1, s.x2, pool),
+                                   rtol=1e-15, atol=1e-15)
 
 
 # --------------------------------------------------------------- LASSO
@@ -196,11 +204,12 @@ def test_lasso_separates_encoded_pairs_at_n4():
     pool = build_pool(4)
     Ftr = extract_feature_matrix(train.samples, pool)
     Fte = extract_feature_matrix(test.samples, pool)
-    model = lasso_fit(Ftr, train.labels().astype(float),
-                      feature_names=tuple(pool.names()))
+    y_train = stack_pairs(train.samples)[2]
+    y_test = stack_pairs(test.samples)[2]
+    model = lasso_fit(Ftr, y_train, feature_names=tuple(pool.names()))
     assert model.converged
-    train_acc = accuracy(lasso_scores(model, Ftr), train.labels())
-    test_acc = accuracy(lasso_scores(model, Fte), test.labels())
+    train_acc = accuracy(lasso_scores(model, Ftr), y_train)
+    test_acc = accuracy(lasso_scores(model, Fte), y_test)
     assert train_acc >= 0.9
     assert test_acc >= 0.85
     # the forrelation-style product observable should be among the survivors

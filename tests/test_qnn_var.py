@@ -176,11 +176,22 @@ def test_parameter_shift_matches_finite_differences():
             assert np.max(np.abs(shifts)) > 1e-2, name
 
 
+def test_encode_pairs_equals_the_kronecker_product_bit_for_bit():
+    ds = generate_dataset(n=3, epsilon=None, count_per_class=4, seed=12)
+    states, y = encode_pairs(ds.samples, 3)
+    assert states.shape == (64, 8) and states.dtype == complex
+    for col, s in zip(states.T, ds.samples):
+        np.testing.assert_array_equal(
+            col, product_state(phase_state(s.x1), phase_state(s.x2)))
+    np.testing.assert_array_equal(y, [s.label for s in ds.samples])
+    with pytest.raises(ValueError, match="register size"):
+        encode_pairs(ds.samples, 4)
+
+
 def test_loss_gradient_methods_agree():
     rng = np.random.default_rng(7)
     ds = generate_dataset(n=N_CHECK, epsilon=None, count_per_class=4, seed=12)
-    states = encode_pairs(ds.samples, N_CHECK)
-    y = ds.labels().astype(float)
+    states, y = encode_pairs(ds.samples, N_CHECK)
     spec = AnsatzSpec(layers=2)
     params = QnnUParams(rng.uniform(-0.5, 0.5, spec.param_count()), 1.3, -0.2)
     for name in READOUTS:
@@ -203,8 +214,7 @@ def test_loss_gradient_methods_agree():
 def test_adjoint_matches_parameter_shift_at_n4():
     rng = np.random.default_rng(14)
     ds = generate_dataset(n=4, epsilon=None, count_per_class=3, seed=4)
-    states = encode_pairs(ds.samples, 4)
-    y = ds.labels().astype(float)
+    states, y = encode_pairs(ds.samples, 4)
     spec = AnsatzSpec(layers=1)
     params = QnnUParams(rng.uniform(-1, 1, spec.param_count()), 0.8, 0.3)
     for name in READOUTS:
@@ -239,8 +249,7 @@ def test_swap_readout_angle_gradient_vanishes():
 def test_pruned_circuit_matches_full_circuit(pool, name):
     rng = np.random.default_rng(16)
     ds = generate_dataset(n=pool.n, epsilon=None, count_per_class=3, seed=6)
-    states = encode_pairs(ds.samples, pool.n)
-    y = ds.labels()
+    states, y = encode_pairs(ds.samples, pool.n)
     spec = AnsatzSpec()
     params = QnnUParams(rng.uniform(-1, 1, spec.param_count()), 1.2, -0.1)
     obs = pool.entry(name)
@@ -319,8 +328,7 @@ def test_partly_pruned_training_matches_full_circuit(monkeypatch):
 def test_analytic_head_gradients():
     rng = np.random.default_rng(8)
     ds = generate_dataset(n=N_CHECK, epsilon=None, count_per_class=3, seed=5)
-    states = encode_pairs(ds.samples, N_CHECK)
-    y = ds.labels().astype(float)
+    states, y = encode_pairs(ds.samples, N_CHECK)
     spec = AnsatzSpec(layers=1)
     params = QnnUParams(rng.uniform(-0.5, 0.5, spec.param_count()), 0.7, 0.1)
     obs = POOL2.entry("swap")
