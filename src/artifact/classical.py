@@ -16,8 +16,9 @@ Encoders:
 Initialization is He-uniform by fan-in; the final embedding layer is scaled
 by 0.01 so the initial distances are small and the MSE-through-sigmoid
 gradient does not start saturated. Training runs optim.fit, the loop qnn_u
-shares: full-batch Adam (1e-3) for at most 300 epochs, stopping early once
-training accuracy is perfect and at least 50 epochs have elapsed.
+shares: full-batch Adam (1e-3), in place on SiameseModel.params, for at
+most 300 epochs, stopping early once training accuracy is perfect and at
+least 50 epochs have elapsed.
 
 Each train_siamese call builds its encoder inputs once (encoder.prepare:
 the CNN's first-layer im2col columns, which depend on the images alone).
@@ -33,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataset import stack_pairs
-from .optim import accuracy, fit
+from .optim import accuracy, fit, lay_out
 
 DEFAULT_WIDTHS = (128, 64, 32)
 DEFAULT_EMB_SCALE = 0.01
@@ -167,24 +168,14 @@ def _pool_backward(g, cache):
 
 
 class MlpEncoder:
+    """tensors: the weights W0..W(L-1), then the biases b0..b(L-1)."""
+
     def __init__(self, spec: MlpSpec, rng):
         dims = [spec.input_dim] + list(spec.widths)
-        self.W = []
-        self.b = []
-        for i in range(len(spec.widths)):
-            w = he_uniform(rng, dims[i], (dims[i], dims[i + 1]))
-            if i == len(spec.widths) - 1:
-                w = w * DEFAULT_EMB_SCALE
-            self.W.append(w)
-            self.b.append(np.zeros(dims[i + 1]))
-
-    def params(self):
-        return list(self.W) + list(self.b)
-
-    def set_params(self, values):
-        L = len(self.W)
-        self.W = [np.asarray(v) for v in values[:L]]
-        self.b = [np.asarray(v) for v in values[L:]]
+        W = [he_uniform(rng, fan_in, (fan_in, fan_out))
+             for fan_in, fan_out in zip(dims, dims[1:])]
+        W[-1] = W[-1] * DEFAULT_EMB_SCALE
+        self.tensors = W + [np.zeros(width) for width in dims[1:]]
 
     def prepare(self, X):
         """The encoder's input: the barcodes as floats."""
@@ -193,44 +184,41 @@ class MlpEncoder:
     def forward(self, X, cache=True):
         h = self.prepare(X)
         acts = [h]
-        L = len(self.W)
+        L = len(self.tensors) // 2
+        W, b = self.tensors[:L], self.tensors[L:]
         for i in range(L):
-            z = h @ self.W[i] + self.b[i]
+            z = h @ W[i] + b[i]
             h = np.maximum(z, 0.0) if i < L - 1 else z
             acts.append(h)
         return h, (acts if cache else None)
 
     def backward(self, acts, g_emb, grads):
-        """Accumulate into grads = [gW0, .., gW(L-1), gb0, .., gb(L-1)]."""
+        """Accumulate into grads, laid out like tensors. The input's own
+        gradient is never used, so the first layer stops at its weights."""
         g = g_emb
-        L = len(self.W)
+        L = len(self.tensors) // 2
         for i in reversed(range(L)):
             if i < L - 1:
                 g = g * (acts[i + 1] > 0)
             grads[i] += acts[i].T @ g
             grads[L + i] += g.sum(axis=0)
-            g = g @ self.W[i].T
+            if i:
+                g = g @ self.tensors[i].T
 
 
 class CnnEncoder:
+    """tensors: W1, b1, W2, b2 (the convolutions), Wd, bd (the dense)."""
+
     def __init__(self, spec: CnnSpec, rng):
         self.spec = spec
         k = spec.kernel
         c1, c2 = spec.channels
-        self.W1 = he_uniform(rng, k * k * 1, (k, k, 1, c1))
-        self.b1 = np.zeros(c1)
-        self.W2 = he_uniform(rng, k * k * c1, (k, k, c1, c2))
-        self.b2 = np.zeros(c2)
+        W1 = he_uniform(rng, k * k * 1, (k, k, 1, c1))
+        W2 = he_uniform(rng, k * k * c1, (k, k, c1, c2))
         flat = spec.flat_after_stack()
-        self.Wd = he_uniform(rng, flat, (flat, spec.dense)) * DEFAULT_EMB_SCALE
-        self.bd = np.zeros(spec.dense)
-
-    def params(self):
-        return [self.W1, self.b1, self.W2, self.b2, self.Wd, self.bd]
-
-    def set_params(self, values):
-        self.W1, self.b1, self.W2, self.b2, self.Wd, self.bd = (
-            np.asarray(v) for v in values)
+        Wd = he_uniform(rng, flat, (flat, spec.dense)) * DEFAULT_EMB_SCALE
+        self.tensors = [W1, np.zeros(c1), W2, np.zeros(c2), Wd,
+                        np.zeros(spec.dense)]
 
     def prepare(self, X):
         """First-layer im2col columns (M, Ho, Wo, k*k) of (M, side*side)
@@ -240,32 +228,33 @@ class CnnEncoder:
                                              self.spec.kernel)
 
     def forward(self, X, cache=True):
+        W1, b1, W2, b2, Wd, bd = self.tensors
         pool = _pool_forward if cache else _pool_max  # evaluation: no routing
         cols1 = self.prepare(X)
-        a1 = np.maximum(cols1 @ self.W1.reshape(-1, self.b1.size) + self.b1,
-                        0.0)
+        a1 = np.maximum(cols1 @ W1.reshape(-1, b1.size) + b1, 0.0)
         p1, pcache1 = pool(a1)
-        z2, cache2 = _conv_forward(p1, self.W2, self.b2)
+        z2, cache2 = _conv_forward(p1, W2, b2)
         a2 = np.maximum(z2, 0.0)
         p2, pcache2 = pool(a2)
         flat = p2.reshape(len(p2), -1)
-        emb = flat @ self.Wd + self.bd
+        emb = flat @ Wd + bd
         if not cache:
             return emb, None
         return emb, ((None, cols1), a1, pcache1, cache2, a2, pcache2, p2.shape,
                      flat)
 
     def backward(self, cache, g_emb, grads):
-        """Accumulate into grads = [gW1, gb1, gW2, gb2, gWd, gbd]."""
+        """Accumulate into grads, laid out like tensors."""
+        W1, _, W2, _, Wd, _ = self.tensors
         cache1, a1, pcache1, cache2, a2, pcache2, p2shape, flat = cache
         grads[4] += flat.T @ g_emb
         grads[5] += g_emb.sum(axis=0)
-        g = _pool_backward((g_emb @ self.Wd.T).reshape(p2shape), pcache2)
-        g, gW2, gb2 = _conv_backward(g * (a2 > 0), self.W2, cache2)
+        g = _pool_backward((g_emb @ Wd.T).reshape(p2shape), pcache2)
+        g, gW2, gb2 = _conv_backward(g * (a2 > 0), W2, cache2)
         grads[2] += gW2
         grads[3] += gb2
         g = _pool_backward(g, pcache1) * (a1 > 0)
-        _, gW1, gb1 = _conv_backward(g, self.W1, cache1)
+        _, gW1, gb1 = _conv_backward(g, W1, cache1)
         grads[0] += gW1
         grads[1] += gb1
 
@@ -274,7 +263,13 @@ class CnnEncoder:
 
 
 class SiameseModel:
-    """Weight-shared encoder pair + logistic distance head, trained by MSE."""
+    """Weight-shared encoder pair + logistic distance head, trained by MSE.
+
+    params is one float64 vector: the encoder tensors, then the head scalars
+    w_out and c_out; grads has the same layout. Every tensor and scalar is
+    a view into them (optim.lay_out), so an in-place update of params is
+    what the next forward pass reads.
+    """
 
     def __init__(self, spec, rng):
         if isinstance(spec, MlpSpec):
@@ -283,18 +278,11 @@ class SiameseModel:
             self.encoder = CnnEncoder(spec, rng)
         else:
             raise TypeError("spec must be MlpSpec or CnnSpec")
-        self.w_out = 1.0
-        self.c_out = -1.0
-
-    # parameters are the encoder tensors plus the head scalars
-    def params(self):
-        return self.encoder.params() + [np.float64(self.w_out),
-                                        np.float64(self.c_out)]
-
-    def set_params(self, values):
-        self.encoder.set_params(values[:-2])
-        self.w_out = float(np.asarray(values[-2]).reshape(-1)[0])
-        self.c_out = float(np.asarray(values[-1]).reshape(-1)[0])
+        self.params, self.grads, views, grad_views = lay_out(
+            self.encoder.tensors + [1.0, -1.0])
+        self.encoder.tensors = views[:-2]
+        self.w_out, self.c_out = views[-2:]
+        self._encoder_grads = grad_views[:-2]
 
     def forward(self, X1, X2, cache=True):
         """Predictions for raw barcodes or encoder.prepare() inputs, and
@@ -307,22 +295,22 @@ class SiameseModel:
         return p, ((c1, c2, h1, h2, d) if cache else None)
 
     def loss_and_gradients(self, X1, X2, y):
-        """MSE loss, predictions, and grads aligned with params()."""
+        """MSE loss, predictions, and the gradient vector grads (laid out
+        like params, and overwritten by the next call)."""
         y = np.asarray(y, dtype=float)
         M = y.size
         p, (c1, c2, h1, h2, d) = self.forward(X1, X2)
         loss = float(np.mean((p - y) ** 2))
         dLdp = 2.0 * (p - y) / M
         dz = dLdp * p * (1.0 - p)  # sigmoid derivative
-        gw = float(np.dot(dz, d))
-        gc = float(np.sum(dz))
+        self.grads.fill(0.0)
+        self.grads[-2] = np.dot(dz, d)  # w_out
+        self.grads[-1] = np.sum(dz)  # c_out
         dd = dz * self.w_out
         gh1 = (2.0 * dd)[:, None] * (h1 - h2)
-        enc_grads = [np.zeros_like(t) for t in self.encoder.params()]
-        self.encoder.backward(c1, gh1, enc_grads)
-        self.encoder.backward(c2, -gh1, enc_grads)
-        grads = enc_grads + [np.float64(gw), np.float64(gc)]
-        return loss, p, grads
+        self.encoder.backward(c1, gh1, self._encoder_grads)
+        self.encoder.backward(c2, -gh1, self._encoder_grads)
+        return loss, p, self.grads
 
 
 # ------------------------------------------------------------- training
@@ -352,19 +340,15 @@ def train_siamese(train_samples, spec, seed: int = 0,
     if test_samples is not None:
         tX1, tX2, ty = samples_to_arrays(test_samples, model.encoder.prepare)
 
-    def loss_and_grad(p):
-        model.set_params(p)
-        return model.loss_and_gradients(X1, X2, y)
+    def loss_and_grad():
+        return model.loss_and_gradients(X1, X2, y)[:2]
 
-    def test_acc(p):
+    def test_acc():
         if test_samples is None:
             return float("nan")
-        model.set_params(p)
         return accuracy(model.forward(tX1, tX2, cache=False)[0], ty)
 
-    params, records, stopped_early = fit(
-        model.params(), loss_and_grad, y, test_acc, epochs, lr, record_every,
-        MIN_EPOCHS_BEFORE_STOP)
-    model.set_params(params)
+    records, stopped_early = fit(
+        model.params, model.grads, loss_and_grad, y, test_acc, epochs, lr,
+        record_every, MIN_EPOCHS_BEFORE_STOP)
     return SiameseResult(model, records, stopped_early)
-

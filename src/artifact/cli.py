@@ -97,8 +97,6 @@ def _cmd_gen_data(args) -> int:
         raise ConfigError("--n must be >= 2")
     if args.per_class < 1:
         raise ConfigError("--per-class must be >= 1")
-    if args.epsilon is not None and args.epsilon <= 0:
-        raise ConfigError("--epsilon must be positive")
     ds = generate_dataset(args.n, args.epsilon, args.per_class, args.seed)
     save_dataset(ds, args.out)
     print(f"wrote {len(ds.samples)} samples (n={ds.n}, "

@@ -138,8 +138,8 @@ def sample_pair(n: int, epsilon: float, correlated: bool, rng,
         raise ValueError(f"unknown partner mode {partner!r}")
     if epsilon is None:
         epsilon = default_epsilon(n)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     N = 2 ** n
     scale = np.sqrt(epsilon)
     z1 = rng.normal(0.0, scale, N)

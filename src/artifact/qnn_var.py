@@ -13,7 +13,7 @@ pool entry, applied with statevec.apply_observable.
 
 The readout is an affine-rescaled pool-observable expectation
 y_hat = a <O> + b trained by MSE against the 0/1 class labels with Adam
-(optim.fit).
+(optim.fit), in place on one float64 vector: the angles, then a and b.
 Angle gradients come from an exact adjoint sweep: one forward pass, then
 one backward pass that un-applies each factor (Jones & Gacon,
 arXiv:2009.02823). The (a, b) gradients are analytic. The test suite checks
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import stack_pairs
-from .optim import accuracy, fit
+from .optim import accuracy, fit, lay_out
 from .statevec import (
     apply_observable,
     commutes,
@@ -206,7 +206,8 @@ def train_qnn_u(train_samples, pool: OperatorPool, spec: AnsatzSpec = None,
                 observable_name: str = "swap", epochs: int = DEFAULT_EPOCHS,
                 lr: float = DEFAULT_LR, seed: int = 0, test_samples=None,
                 record_every: int = 1) -> QnnUResult:
-    """Adam training of the variational model on encoded pairs (optim.fit).
+    """Adam training of the variational model on encoded pairs (optim.fit)
+    over one flat vector (optim.lay_out) that the angles, a and b view.
 
     Records the pre-training baseline as epoch 0 and the state after every
     record_every-th epoch (the final epoch is always recorded). The trailing
@@ -219,25 +220,24 @@ def train_qnn_u(train_samples, pool: OperatorPool, spec: AnsatzSpec = None,
     pruned = pruned_blocks(pool, spec, observable)
     factors = ansatz_factors(pool, spec, spec.param_count() - pruned)
     init = init_params(spec, np.random.default_rng(seed))
+    params, grads, (thetas, a, b), (g_thetas, g_a, g_b) = lay_out(
+        [init.thetas, init.a, init.b])
+    live = QnnUParams(thetas, a, b)  # views that fit's Adam updates in place
     states, y = encode_pairs(train_samples, pool.n)
     if test_samples is not None:
         test_states, y_test = encode_pairs(test_samples, pool.n)
 
-    def unpack(p) -> QnnUParams:
-        return QnnUParams(p[0], float(p[1]), float(p[2]))
+    def loss_and_grad():
+        loss, g_thetas[:], g_a[...], g_b[...], preds = loss_and_gradient(
+            states, y, live, pool, spec, observable, factors=factors)
+        return loss, preds
 
-    def loss_and_grad(p):
-        loss, gt, ga, gb, preds = loss_and_gradient(
-            states, y, unpack(p), pool, spec, observable, factors=factors)
-        return loss, preds, [gt, np.float64(ga), np.float64(gb)]
-
-    def test_acc(p):
+    def test_acc():
         if test_samples is None:
             return float("nan")
-        return accuracy(model_eval(test_states, unpack(p), pool, spec,
-                                   observable, factors), y_test)
+        return accuracy(model_eval(test_states, live, pool, spec, observable,
+                                   factors), y_test)
 
-    params, records, _ = fit(
-        [init.thetas, np.float64(init.a), np.float64(init.b)], loss_and_grad,
-        y, test_acc, epochs, lr, record_every)
-    return QnnUResult(unpack(params), records, pruned)
+    records, _ = fit(params, grads, loss_and_grad, y, test_acc, epochs, lr,
+                     record_every)
+    return QnnUResult(QnnUParams(thetas, float(a), float(b)), records, pruned)

@@ -7,12 +7,16 @@ statevec.apply_observable with qnn_var's ansatz; test_statevec checks that
 against dense matrices, and test_qnn_var checks the ansatz against scipy
 expm of the dense generators. The Siamese CNN's reference route builds its
 im2col columns in a loop on every forward, max-pools by transpose and
-argmax, and runs the full convolution backward at layer 1.
+argmax, and runs the full convolution backward at layer 1; its MLP
+reference backward also computes the unused input gradient. Adam's
+reference is the per-tensor update that optim.adam_step does in place on
+one flat vector.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,15 +168,60 @@ def reference_cnn_gradients(encoder, X, g_emb):
     barcodes X for the embedding gradient g_emb, by the reference route."""
     M = X.shape[0]
     s = encoder.spec.side
-    z1, cache1 = loop_conv_forward(X.reshape(M, s, s, 1), encoder.W1,
-                                   encoder.b1)
+    W1, b1, W2, b2, Wd, bd = encoder.tensors
+    z1, cache1 = loop_conv_forward(X.reshape(M, s, s, 1), W1, b1)
     p1, pcache1 = argmax_pool_forward(np.maximum(z1, 0.0))
-    z2, cache2 = loop_conv_forward(p1, encoder.W2, encoder.b2)
+    z2, cache2 = loop_conv_forward(p1, W2, b2)
     p2, pcache2 = argmax_pool_forward(np.maximum(z2, 0.0))
     flat = p2.reshape(M, -1)
-    emb = flat @ encoder.Wd + encoder.bd
-    g = argmax_pool_backward((g_emb @ encoder.Wd.T).reshape(p2.shape), pcache2)
-    g, gW2, gb2 = _conv_backward(g * (z2 > 0), encoder.W2, cache2)
+    emb = flat @ Wd + bd
+    g = argmax_pool_backward((g_emb @ Wd.T).reshape(p2.shape), pcache2)
+    g, gW2, gb2 = _conv_backward(g * (z2 > 0), W2, cache2)
     g = argmax_pool_backward(g, pcache1)
-    _, gW1, gb1 = _conv_backward(g * (z1 > 0), encoder.W1, cache1)
+    _, gW1, gb1 = _conv_backward(g * (z1 > 0), W1, cache1)
     return emb, [gW1, gb1, gW2, gb2, flat.T @ g_emb, g_emb.sum(axis=0)]
+
+
+def mlp_backward(encoder, acts, g_emb, grads):
+    """MlpEncoder.backward that carries the gradient on through the first
+    layer to the (unused) input."""
+    g = g_emb
+    L = len(encoder.tensors) // 2
+    for i in reversed(range(L)):
+        if i < L - 1:
+            g = g * (acts[i + 1] > 0)
+        grads[i] += acts[i].T @ g
+        grads[L + i] += g.sum(axis=0)
+        g = g @ encoder.tensors[i].T
+    return g
+
+
+@dataclass
+class AdamState:
+    m: list  # first-moment estimates, one array per parameter
+    v: list  # second-moment estimates
+    t: int = 0
+
+
+def adam_init(params) -> AdamState:
+    return AdamState([np.zeros_like(p) for p in params],
+                     [np.zeros_like(p) for p in params], 0)
+
+
+def adam_step(params, grads, state: AdamState, lr: float,
+              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    """One Adam update over a list of tensors; returns the new parameter
+    list (state mutates)."""
+    if len(params) != len(grads) or len(params) != len(state.m):
+        raise ValueError("params/grads/state length mismatch")
+    state.t += 1
+    t = state.t
+    out = []
+    for i, (p, g) in enumerate(zip(params, grads)):
+        g = np.asarray(g, dtype=float)
+        state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * g
+        state.v[i] = beta2 * state.v[i] + (1.0 - beta2) * g * g
+        m_hat = state.m[i] / (1.0 - beta1 ** t)
+        v_hat = state.v[i] / (1.0 - beta2 ** t)
+        out.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
+    return out

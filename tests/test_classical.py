@@ -6,6 +6,7 @@ import pytest
 from artifact.classical import (
     CnnEncoder,
     CnnSpec,
+    MlpEncoder,
     MlpSpec,
     SiameseModel,
     _pool_backward,
@@ -18,41 +19,24 @@ from artifact.dataset import generate_dataset
 from oracles import (
     argmax_pool_backward,
     argmax_pool_forward,
+    mlp_backward,
     reference_cnn_gradients,
 )
 
 
 def fd_gradient_full(model, X1, X2, y, h=1e-5):
-    """Central-difference gradient of the loss for every parameter entry."""
-    grads = []
-    for p in model.params():
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        g = np.zeros_like(p)
-        grads.append(g)
-    values = [np.array(p, dtype=float, copy=True) for p in model.params()]
-    for i, base in enumerate(values):
-        flat = base.reshape(-1) if base.ndim else base.reshape(1)
-        gflat = grads[i].reshape(-1)
-        for j in range(flat.size):
-            for sign in (+1, -1):
-                perturbed = [np.array(v, copy=True) for v in values]
-                pf = perturbed[i].reshape(-1) if perturbed[i].ndim else perturbed[i].reshape(1)
-                pf[j] += sign * h
-                model.set_params(perturbed)
-                p, _ = model.forward(X1, X2)
-                loss = float(np.mean((p - y) ** 2))
-                if sign > 0:
-                    lp = loss
-                else:
-                    lm = loss
-            gflat[j] = (lp - lm) / (2 * h)
-    model.set_params(values)
+    """Central-difference gradient of the loss for every entry of the
+    model's parameter vector."""
+    grads = np.zeros_like(model.params)
+    for j, base in enumerate(model.params.copy()):
+        losses = []
+        for value in (base + h, base - h):
+            model.params[j] = value
+            p, _ = model.forward(X1, X2)
+            losses.append(float(np.mean((p - y) ** 2)))
+        model.params[j] = base
+        grads[j] = (losses[0] - losses[1]) / (2 * h)
     return grads
-
-
-def flatten_all(arrays):
-    return np.concatenate([np.atleast_1d(np.asarray(a, dtype=float)).ravel()
-                           for a in arrays])
 
 
 # ------------------------------------------------------------ gradients
@@ -65,10 +49,8 @@ def test_mlp_backprop_full_fd_sweep():
     X1 = rng.standard_normal((5, 16))
     X2 = rng.standard_normal((5, 16))
     y = rng.integers(0, 2, 5).astype(float)
-    _, _, analytic = model.loss_and_gradients(X1, X2, y)
-    numeric = fd_gradient_full(model, X1, X2, y)
-    ga = flatten_all(analytic)
-    gn = flatten_all(numeric)
+    ga = model.loss_and_gradients(X1, X2, y)[2].copy()
+    gn = fd_gradient_full(model, X1, X2, y)
     rel = np.linalg.norm(ga - gn) / np.linalg.norm(gn)
     assert rel <= 1e-6, f"norm-wise relative gradient error {rel:.3e}"
 
@@ -80,10 +62,8 @@ def test_cnn_backprop_fd_sweep():
     X1 = rng.standard_normal((3, 256))
     X2 = rng.standard_normal((3, 256))
     y = np.array([0.0, 1.0, 1.0])
-    _, _, analytic = model.loss_and_gradients(X1, X2, y)
-    numeric = fd_gradient_full(model, X1, X2, y)
-    ga = flatten_all(analytic)
-    gn = flatten_all(numeric)
+    ga = model.loss_and_gradients(X1, X2, y)[2].copy()
+    gn = fd_gradient_full(model, X1, X2, y)
     rel = np.linalg.norm(ga - gn) / np.linalg.norm(gn)
     assert rel <= 1e-6, f"norm-wise relative gradient error {rel:.3e}"
 
@@ -95,8 +75,7 @@ def test_identical_inputs_give_zero_encoder_gradient():
     y = rng.integers(0, 2, 6).astype(float)
     _, p, grads = model.loss_and_gradients(X, X.copy(), y)
     # d == 0 for every pair, so the branch gradients cancel exactly
-    for g in grads[:-2]:
-        assert np.max(np.abs(g)) == 0.0
+    assert np.max(np.abs(grads[:-2])) == 0.0
     # but the head bias still learns
     assert float(grads[-1]) != 0.0
     np.testing.assert_allclose(p, 1.0 / (1.0 + np.exp(1.0)), atol=1e-12)
@@ -118,8 +97,7 @@ def test_prediction_symmetric_under_argument_swap():
 def test_zero_encoder_weights_give_zero_embedding():
     rng = np.random.default_rng(5)
     model = SiameseModel(MlpSpec(8, (4, 2)), rng)
-    zeros = [np.zeros_like(p) for p in model.encoder.params()]
-    model.encoder.set_params(zeros)
+    model.params[:-2] = 0.0  # every encoder tensor is a view into params
     X = rng.standard_normal((3, 8))
     np.testing.assert_array_equal(model.encoder.forward(X)[0], np.zeros((3, 2)))
     p, _ = model.forward(X, rng.standard_normal((3, 8)))
@@ -129,7 +107,7 @@ def test_zero_encoder_weights_give_zero_embedding():
 def test_embedding_layer_scaled_down_at_init():
     rng = np.random.default_rng(6)
     model = SiameseModel(MlpSpec(64), rng)
-    final = model.encoder.W[-1]
+    final = model.encoder.tensors[2]  # the last of W0, W1, W2
     lim = np.sqrt(6.0 / 64.0) * 0.011  # He-uniform limit times the 0.01 scale
     assert np.max(np.abs(final)) <= lim
 
@@ -186,12 +164,41 @@ def test_cnn_encoder_matches_the_reference_route_bit_for_bit(n):
     X = rng.integers(0, 2, (3, 2 ** n)).astype(float)
     g_emb = rng.standard_normal((3, encoder.spec.dense))
     emb, cache = encoder.forward(encoder.prepare(X))
-    grads = [np.zeros_like(p) for p in encoder.params()]
+    grads = [np.zeros_like(t) for t in encoder.tensors]
     encoder.backward(cache, g_emb, grads)
     ref_emb, ref_grads = reference_cnn_gradients(encoder, X, g_emb)
     np.testing.assert_array_equal(emb, ref_emb)
     for got, ref in zip(grads, ref_grads):
         np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("widths", [(128, 64, 32), (5,), (6, 3)])
+def test_mlp_backward_matches_the_full_backward_bit_for_bit(widths):
+    """The weight-only first layer against the backward that carries the
+    gradient on to the input, accumulated over two calls."""
+    rng = np.random.default_rng(len(widths))
+    encoder = MlpEncoder(MlpSpec(64, widths), rng)
+    grads = [np.zeros_like(t) for t in encoder.tensors]
+    ref = [np.zeros_like(t) for t in encoder.tensors]
+    for _ in range(2):
+        emb, acts = encoder.forward(rng.integers(0, 2, (7, 64)))
+        g_emb = rng.standard_normal(emb.shape)
+        encoder.backward(acts, g_emb, grads)
+        mlp_backward(encoder, acts, g_emb, ref)
+    for got, want in zip(grads, ref):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_siamese_tensors_are_views_of_one_parameter_vector():
+    """Encoder tensors, then w_out and c_out, end to end in params; the
+    gradient vector has the same layout."""
+    for spec in (MlpSpec(16, (4, 3)), cnn_spec_for(8)):
+        model = SiameseModel(spec, np.random.default_rng(0))
+        parts = model.encoder.tensors + [model.w_out, model.c_out]
+        assert all(np.shares_memory(t, model.params) for t in parts)
+        assert sum(np.size(t) for t in parts) == model.params.size
+        assert model.params[-2:].tolist() == [1.0, -1.0]
+        assert model.grads.shape == model.params.shape
 
 
 @pytest.mark.parametrize("spec", [MlpSpec(64), cnn_spec_for(8),

@@ -94,6 +94,18 @@ def test_sample_pair_labels():
     assert sample_pair(2, 1.0, False, rng).label == 1
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"),
+                                     float("-inf"), 0.0, -1.0])
+def test_bad_epsilon_is_rejected_before_any_draw(epsilon):
+    rng = np.random.default_rng(6)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        sample_pair(3, epsilon, True, rng)
+    assert rng.bit_generator.state == before
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        generate_dataset(3, epsilon, 2, seed=0)
+
+
 def test_key_is_equal_exactly_when_both_barcodes_are():
     """Over all pairs of 2-qubit barcodes (16 x 16): keys collide exactly
     when both barcodes are bit-equal, and (x1, x2) differs from (x2, x1)."""

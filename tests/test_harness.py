@@ -371,6 +371,16 @@ def test_cli_gen_data_validation_errors(tmp_path):
                  "--epsilon", "-1", "--out", out]) == 1
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf", "0"])
+def test_cli_gen_data_rejects_an_epsilon_not_positive_and_finite(
+        tmp_path, capsys, epsilon):
+    out = tmp_path / "x.json"
+    assert main(["gen-data", "--n", "3", "--per-class", "2",
+                 f"--epsilon={epsilon}", "--out", str(out)]) == 1
+    assert "epsilon must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_missing_required_argument_exits_1(capsys):
     assert main(["gen-data", "--n", "3"]) == 1
     assert "error" in capsys.readouterr().err.lower()

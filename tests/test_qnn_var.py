@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import oracles
 from artifact import qnn_var
 from artifact.dataset import generate_dataset
-from artifact.optim import adam_init, adam_step
+from artifact.optim import adam_step
 from artifact.qnn_var import (
     AnsatzSpec,
     QnnUParams,
@@ -350,22 +351,30 @@ def test_analytic_head_gradients():
 
 
 def test_adam_first_step_size_is_learning_rate():
-    params = [np.array([1.0, -2.0])]
-    grads = [np.array([0.3, -0.7])]
-    state = adam_init(params)
-    new = adam_step(params, grads, state, lr=0.1)
-    step = new[0] - params[0]
+    start = np.array([1.0, -2.0])
+    grads = np.array([0.3, -0.7])
+    params = start.copy()
+    m, v, *scratch = np.zeros((4, 2))
+    adam_step(params, grads, m, v, scratch, 1, lr=0.1)
+    step = params - start
     # first Adam step is -lr * sign(grad) up to the eps regularizer
     np.testing.assert_allclose(np.abs(step), [0.1, 0.1], rtol=1e-6)
     assert step[0] < 0 and step[1] > 0
+    ref = oracles.adam_step([start], [grads], oracles.adam_init([start]),
+                            lr=0.1)
+    assert params.tobytes() == ref[0].tobytes()
 
 
 def test_adam_state_advances():
-    params = [np.zeros(3)]
-    state = adam_init(params)
-    adam_step(params, [np.ones(3)], state, lr=0.01)
+    params = np.zeros(3)
+    m, v, *scratch = np.zeros((4, 3))
+    state = oracles.adam_init([params.copy()])
+    adam_step(params, np.ones(3), m, v, scratch, 1, lr=0.01)
+    oracles.adam_step([np.zeros(3)], [np.ones(3)], state, lr=0.01)
     assert state.t == 1
-    assert np.all(state.m[0] != 0.0)
+    assert np.all(m != 0.0)
+    assert m.tobytes() == state.m[0].tobytes()
+    assert v.tobytes() == state.v[0].tobytes()
 
 
 # ------------------------------------------------------------- training
