@@ -23,7 +23,9 @@ least 50 epochs have elapsed.
 Each train_siamese call builds its encoder inputs once (encoder.prepare:
 the CNN's first-layer im2col columns, which depend on the images alone).
 The test split is evaluated with cache=False: no backward caches, and the
-CNN pools by a maximum over the four strided views of each 2x2 block.
+CNN pools by a maximum over the four strided views of each 2x2 block and
+runs its conv/pool stack EVAL_BLOCK images at a time. In training, each
+pool's routing mask also carries the preceding ReLU's derivative.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ DEFAULT_LR = 1e-3
 DEFAULT_EPOCHS = 300
 MIN_EPOCHS_BEFORE_STOP = 50
 MIN_CNN_SIDE = 10
+# images per conv/pool block in the cache-free forward: at side 32 one
+# block's layer-1 activations (10 x 30 x 30 x 8 floats, 0.58 MB) fit in a
+# 2 MB L2 cache, where the whole 80-pair test split's (4.6 MB) would not
+EVAL_BLOCK = 10
 
 
 @dataclass(frozen=True)
@@ -108,12 +114,18 @@ def _im2col(X, k):
 def _conv_forward(X, W, b):
     """Valid 2-D convolution, stride 1. X (M,H,W,Cin), W (k,k,Cin,Cout)."""
     cols = _im2col(X, W.shape[0])
-    return cols @ W.reshape(-1, W.shape[3]) + b, (X.shape, cols)
+    out = cols @ W.reshape(-1, W.shape[3])
+    out += b
+    return out, (X.shape, cols)
 
 
 def _conv_backward(g, W, cache):
     """g (M,Ho,Wo,Cout) -> (gX, gW, gb); gX is None for a cache without an
-    input shape (the first layer, whose input gradient is never used)."""
+    input shape (the first layer, whose input gradient is never used).
+    gX gets one product per kernel offset, each on g as a 2-D matrix: the
+    (M*Ho*Wo, Cin) products stay cache-sized where one k*k*Cin-wide product
+    would not, and a 4-D operand would make matmul loop over its leading
+    axes."""
     Xshape, cols = cache
     k = W.shape[0]
     Cin, Cout = W.shape[2], W.shape[3]
@@ -122,13 +134,12 @@ def _conv_backward(g, W, cache):
     gb = g.sum(axis=(0, 1, 2))
     if Xshape is None:
         return None, gW, gb
-    gcols = g @ W.reshape(k * k * Cin, Cout).T
+    g = g.reshape(-1, Cout)
     gX = np.zeros(Xshape)
-    idx = 0
     for di in range(k):
         for dj in range(k):
-            gX[:, di:di + Ho, dj:dj + Wo, :] += gcols[..., idx * Cin:(idx + 1) * Cin]
-            idx += 1
+            gX[:, di:di + Ho, dj:dj + Wo, :] += (g @ W[di, dj].T).reshape(
+                M, Ho, Wo, Cin)
     return gX, gW, gb
 
 
@@ -145,22 +156,26 @@ def _pool_max(X):
 
 
 def _pool_forward(X):
-    """_pool_max plus the routing of each block's gradient to its first
-    maximum in _pool_views order (binary pixels make positive ties)."""
+    """_pool_max plus a boolean mask laid out like X that routes each
+    block's gradient to its first maximum in _pool_views order (binary
+    pixels make positive ties). X is a ReLU output, so a block whose
+    maximum is 0 routes nothing: the mask is also the ReLU's derivative."""
     out = _pool_max(X)[0]
-    free = np.ones(out.shape, dtype=bool)
-    hits = []
-    for v in _pool_views(X):
-        hits.append(free & (v == out))
-        free &= ~hits[-1]
-    return out, (X.shape, hits)
+    free = out > 0
+    mask = np.zeros(X.shape, dtype=bool)
+    for v, hit in zip(_pool_views(X), _pool_views(mask)):
+        np.equal(v, out, out=hit)
+        hit &= free
+        free ^= hit  # hit lies within free
+    return out, mask
 
 
-def _pool_backward(g, cache):
-    Xshape, hits = cache
-    gX = np.zeros(Xshape)
-    for v, hit in zip(_pool_views(gX), hits):
-        np.copyto(v, g, where=hit)
+def _pool_backward(g, mask):
+    """Each block's gradient on all four entries, kept where mask routes."""
+    gX = np.zeros(mask.shape)
+    for v in _pool_views(gX):
+        v[...] = g
+    gX *= mask
     return gX
 
 
@@ -224,37 +239,55 @@ class CnnEncoder:
         """First-layer im2col columns (M, Ho, Wo, k*k) of (M, side*side)
         barcodes; columns already prepared pass through unchanged."""
         X, s = np.asarray(X, dtype=float), self.spec.side
-        return X if X.ndim == 4 else _im2col(X.reshape(-1, s, s, 1),
-                                             self.spec.kernel)
+        if X.ndim == 4:
+            return X
+        if X.shape[-1] != s * s:
+            raise ValueError(f"CNN of side {s} takes barcodes of {s * s} "
+                             f"pixels, got {X.shape[-1]}")
+        return _im2col(X.reshape(-1, s, s, 1), self.spec.kernel)
+
+    def _conv_stack(self, cols1, pool):
+        """Both conv/ReLU/pool layers: p2 and (mask1, cache2, mask2)."""
+        W1, b1, W2, b2 = self.tensors[:4]
+        a1 = cols1 @ W1.reshape(-1, b1.size)
+        a1 += b1
+        np.maximum(a1, 0.0, out=a1)
+        p1, mask1 = pool(a1)
+        a2, cache2 = _conv_forward(p1, W2, b2)
+        np.maximum(a2, 0.0, out=a2)
+        p2, mask2 = pool(a2)
+        return p2, (mask1, cache2, mask2)
 
     def forward(self, X, cache=True):
-        W1, b1, W2, b2, Wd, bd = self.tensors
-        pool = _pool_forward if cache else _pool_max  # evaluation: no routing
+        """Embeddings and the backward cache. With cache=False (evaluation)
+        the conv/pool stack runs EVAL_BLOCK images at a time, so each
+        block's activations stay in cache, and the pools route nothing;
+        the dense layer runs once over all rows either way."""
+        Wd, bd = self.tensors[4:]
         cols1 = self.prepare(X)
-        a1 = np.maximum(cols1 @ W1.reshape(-1, b1.size) + b1, 0.0)
-        p1, pcache1 = pool(a1)
-        z2, cache2 = _conv_forward(p1, W2, b2)
-        a2 = np.maximum(z2, 0.0)
-        p2, pcache2 = pool(a2)
+        if cache:
+            p2, caches = self._conv_stack(cols1, _pool_forward)
+        else:
+            p2 = np.concatenate([
+                self._conv_stack(cols1[i:i + EVAL_BLOCK], _pool_max)[0]
+                for i in range(0, len(cols1), EVAL_BLOCK)])
         flat = p2.reshape(len(p2), -1)
         emb = flat @ Wd + bd
         if not cache:
             return emb, None
-        return emb, ((None, cols1), a1, pcache1, cache2, a2, pcache2, p2.shape,
-                     flat)
+        return emb, ((None, cols1), *caches, p2.shape, flat)
 
     def backward(self, cache, g_emb, grads):
         """Accumulate into grads, laid out like tensors."""
         W1, _, W2, _, Wd, _ = self.tensors
-        cache1, a1, pcache1, cache2, a2, pcache2, p2shape, flat = cache
+        cache1, mask1, cache2, mask2, p2shape, flat = cache
         grads[4] += flat.T @ g_emb
         grads[5] += g_emb.sum(axis=0)
-        g = _pool_backward((g_emb @ Wd.T).reshape(p2shape), pcache2)
-        g, gW2, gb2 = _conv_backward(g * (a2 > 0), W2, cache2)
+        g = _pool_backward((g_emb @ Wd.T).reshape(p2shape), mask2)
+        g, gW2, gb2 = _conv_backward(g, W2, cache2)
         grads[2] += gW2
         grads[3] += gb2
-        g = _pool_backward(g, pcache1) * (a1 > 0)
-        _, gW1, gb1 = _conv_backward(g, W1, cache1)
+        _, gW1, gb1 = _conv_backward(_pool_backward(g, mask1), W1, cache1)
         grads[0] += gW1
         grads[1] += gb1
 

@@ -7,7 +7,9 @@ statevec.apply_observable with qnn_var's ansatz; test_statevec checks that
 against dense matrices, and test_qnn_var checks the ansatz against scipy
 expm of the dense generators. The Siamese CNN's reference route builds its
 im2col columns in a loop on every forward, max-pools by transpose and
-argmax, and runs the full convolution backward at layer 1; its MLP
+argmax, applies each ReLU's derivative as its own multiply, scatters one
+wide column gradient back to the conv input, and runs the full
+convolution backward at layer 1; its MLP
 reference backward also computes the unused input gradient. Adam's
 reference is the per-tensor update that optim.adam_step does in place on
 one flat vector.
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from artifact.classical import _conv_backward
 from artifact.qnn_meas import standardize
 from artifact.qnn_var import generator_entries, mse_loss
 from artifact.statevec import (
@@ -135,6 +136,28 @@ def loop_conv_forward(X, W, b):
     return out, (X.shape, cols)
 
 
+def loop_conv_backward(g, W, cache):
+    """g (M,Ho,Wo,Cout) -> (gX, gW, gb) of loop_conv_forward, gX by one
+    k*k*Cin-wide column gradient scattered back in nine slices (None for a
+    cache without an input shape)."""
+    Xshape, cols = cache
+    k = W.shape[0]
+    Cin, Cout = W.shape[2], W.shape[3]
+    M, Ho, Wo, _ = g.shape
+    gW = (cols.reshape(-1, k * k * Cin).T @ g.reshape(-1, Cout)).reshape(W.shape)
+    gb = g.sum(axis=(0, 1, 2))
+    if Xshape is None:
+        return None, gW, gb
+    gcols = g @ W.reshape(k * k * Cin, Cout).T
+    gX = np.zeros(Xshape)
+    idx = 0
+    for di in range(k):
+        for dj in range(k):
+            gX[:, di:di + Ho, dj:dj + Wo, :] += gcols[..., idx * Cin:(idx + 1) * Cin]
+            idx += 1
+    return gX, gW, gb
+
+
 def argmax_pool_forward(X):
     """2x2 max pool, stride 2, floor division, routed by argmax over each
     block's four entries (the first maximum wins a tie)."""
@@ -176,9 +199,9 @@ def reference_cnn_gradients(encoder, X, g_emb):
     flat = p2.reshape(M, -1)
     emb = flat @ Wd + bd
     g = argmax_pool_backward((g_emb @ Wd.T).reshape(p2.shape), pcache2)
-    g, gW2, gb2 = _conv_backward(g * (z2 > 0), W2, cache2)
+    g, gW2, gb2 = loop_conv_backward(g * (z2 > 0), W2, cache2)
     g = argmax_pool_backward(g, pcache1)
-    _, gW1, gb1 = _conv_backward(g * (z1 > 0), W1, cache1)
+    _, gW1, gb1 = loop_conv_backward(g * (z1 > 0), W1, cache1)
     return emb, [gW1, gb1, gW2, gb2, flat.T @ g_emb, g_emb.sum(axis=0)]
 
 

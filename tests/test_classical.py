@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from artifact.classical import (
+    EVAL_BLOCK,
     CnnEncoder,
     CnnSpec,
     MlpEncoder,
     MlpSpec,
     SiameseModel,
+    _conv_backward,
+    _im2col,
     _pool_backward,
     _pool_forward,
     _pool_max,
@@ -19,6 +22,7 @@ from artifact.dataset import generate_dataset
 from oracles import (
     argmax_pool_backward,
     argmax_pool_forward,
+    loop_conv_backward,
     mlp_backward,
     reference_cnn_gradients,
 )
@@ -143,22 +147,54 @@ def plant_positive_ties(X, rng):
 @pytest.mark.parametrize("shape", [(2, 13, 13, 3), (2, 30, 30, 8),
                                    (3, 14, 9, 2)])
 def test_strided_pool_matches_the_argmax_oracle_bit_for_bit(shape):
-    """Odd sides drop the trailing row/col; ReLU zeros tie whole blocks."""
+    """Odd sides drop the trailing row/col; ReLU zeros tie whole blocks.
+    The routing mask also carries the ReLU's derivative, so the backward
+    equals the oracle's routing times (X > 0); it is compared by value,
+    because the mask's multiply leaves -0.0 where the oracle has +0.0."""
     rng = np.random.default_rng(sum(shape))
     X = plant_positive_ties(np.maximum(rng.standard_normal(shape), 0.0), rng)
-    out, cache = _pool_forward(X)
+    out, mask = _pool_forward(X)
     ref_out, ref_cache = argmax_pool_forward(X)
     assert out.tobytes() == ref_out.tobytes()
     assert _pool_max(X)[0].tobytes() == ref_out.tobytes()
     g = rng.standard_normal(out.shape)
-    assert (_pool_backward(g, cache).tobytes()
-            == argmax_pool_backward(g, ref_cache).tobytes())
+    np.testing.assert_array_equal(
+        _pool_backward(g, mask), argmax_pool_backward(g, ref_cache) * (X > 0))
+
+
+def test_pool_block_of_zeros_routes_no_gradient():
+    """A block that ReLU zeroed entirely passes no gradient back; the
+    block beside it still routes its gradient to its maximum."""
+    X = np.array([[0.0, 0.0, 0.0, 0.4],
+                  [0.0, 0.0, 0.0, 0.0]]).reshape(1, 2, 4, 1)
+    out, mask = _pool_forward(X)
+    np.testing.assert_array_equal(out.ravel(), [0.0, 0.4])
+    gX = _pool_backward(np.array([5.0, -2.0]).reshape(out.shape), mask)
+    expect = np.zeros_like(X)
+    expect[0, 0, 3, 0] = -2.0
+    np.testing.assert_array_equal(gX, expect)
+
+
+@pytest.mark.parametrize("side", [16, 32])
+@pytest.mark.parametrize("M", [1, 3, 20])
+def test_conv_backward_matches_the_loop_oracle_bit_for_bit(side, M):
+    """Layer 2's per-offset input gradient against one wide column
+    gradient scattered back in nine slices, at the layer-2 input side."""
+    rng = np.random.default_rng(side + M)
+    s = (side - 2) // 2
+    X = rng.standard_normal((M, s, s, 8))
+    W = rng.standard_normal((3, 3, 8, 16))
+    g = rng.standard_normal((M, s - 2, s - 2, 16))
+    cache = (X.shape, _im2col(X, 3))
+    for got, ref in zip(_conv_backward(g, W, cache),
+                        loop_conv_backward(g, W, cache)):
+        assert got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("n", [8, 10])
 def test_cnn_encoder_matches_the_reference_route_bit_for_bit(n):
     """Columns built once, strided pool routing and the weight-only layer-1
-    backward against the loop im2col, argmax pool and _conv_backward."""
+    backward against the loop im2col, argmax pool and loop conv backward."""
     rng = np.random.default_rng(n)
     encoder = CnnEncoder(cnn_spec_for(n), rng)
     X = rng.integers(0, 2, (3, 2 ** n)).astype(float)
@@ -219,6 +255,34 @@ def test_cache_free_forward_equals_the_training_forward(spec):
     assert len(set(p_train)) == len(p_train)  # the pairs are told apart
     emb = model.encoder.forward(X1)[0]
     assert model.encoder.forward(X1, cache=False)[0].tobytes() == emb.tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 10])
+@pytest.mark.parametrize("M", [1, EVAL_BLOCK - 1, EVAL_BLOCK, EVAL_BLOCK + 1,
+                               2 * EVAL_BLOCK + 3, 80])
+def test_blocked_evaluation_equals_the_training_forward(n, M):
+    """The cache-free forward runs the conv/pool stack EVAL_BLOCK images at
+    a time (the last block may be partial) and the dense layer over all
+    rows at once, so its embeddings equal the training forward's."""
+    rng = np.random.default_rng(M + n)
+    encoder = CnnEncoder(cnn_spec_for(n), rng)
+    X = rng.integers(0, 2, (M, 2 ** n)).astype(np.uint8)
+    emb = encoder.forward(X, cache=True)[0]
+    assert encoder.forward(X, cache=False)[0].tobytes() == emb.tobytes()
+
+
+def test_cnn_rejects_a_barcode_of_the_wrong_length():
+    """A 512-pixel barcode would reshape into two images of side 16; the
+    check stops it, and prepared columns still pass through."""
+    rng = np.random.default_rng(12)
+    model = SiameseModel(cnn_spec_for(8), rng)
+    X = rng.integers(0, 2, (1, 512)).astype(float)
+    with pytest.raises(ValueError, match="256 pixels, got 512"):
+        model.encoder.prepare(X)
+    with pytest.raises(ValueError, match="256 pixels, got 512"):
+        model.loss_and_gradients(X, X, np.array([1.0]))
+    cols = model.encoder.prepare(rng.integers(0, 2, (2, 256)))
+    assert model.encoder.prepare(cols) is cols
 
 
 def test_cnn_spec_for_sizes():
