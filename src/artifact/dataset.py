@@ -87,12 +87,17 @@ def stack_pairs(samples):
     return X1, X2, y
 
 
-def truncate(z):
-    """Clamp to [-1, 1]; rejects non-finite input."""
+def _finite(z) -> np.ndarray:
+    """z as floats; rejects non-finite input."""
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError("truncate requires finite input")
-    return np.clip(z, -1.0, 1.0)
+    return z
+
+
+def truncate(z):
+    """Clamp to [-1, 1]; rejects non-finite input."""
+    return np.clip(_finite(z), -1.0, 1.0)
 
 
 def round_to_bit(t, rng) -> np.ndarray:
@@ -116,7 +121,8 @@ def sign_round(z, rng) -> np.ndarray:
 
 def _round_vector(z, rng, rounding: str) -> np.ndarray:
     if rounding == "sign":
-        return sign_round(truncate(z), rng)
+        # the clamp to [-1, 1] changes no sign and no zero, so it is skipped
+        return sign_round(_finite(z), rng)
     return round_to_bit(truncate(z), rng)
 
 
@@ -154,7 +160,7 @@ def sample_pair(n: int, epsilon: float, correlated: bool, rng,
         x2 = _round_vector(z2, rng, rounding)
     else:
         x1 = _round_vector(z1, rng, rounding)
-        s1 = 1.0 - 2.0 * x1.astype(float)
+        s1 = 1.0 - 2.0 * x1  # float64, exact for 0/1 bits
         z2 = fwht(s1)
         x2 = _round_vector(z2, rng, rounding)
     return SamplePair(x1, x2, 0)

@@ -44,6 +44,7 @@ from .statevec import (
     apply_observable,
     commutes,
     expectation_batch,
+    expectation_from,
     phase_rows,
 )
 from .symmetry import OperatorPool, PoolEntry
@@ -186,17 +187,19 @@ def loss_and_gradient(states: np.ndarray, labels: np.ndarray,
                       spec: AnsatzSpec, observable: PoolEntry, factors=None):
     """Returns (loss, grad_thetas, grad_a, grad_b, preds).
 
-    The adjoint sweep costs about three circuit passes for all angles. An
-    angle with no factor in factors gets gradient exactly 0.
+    The readout O is applied once: O phi gives both <O> and the adjoint
+    seed. The adjoint sweep costs about three circuit passes for all
+    angles. An angle with no factor in factors gets gradient exactly 0.
     """
     if factors is None:
         factors = ansatz_factors(pool, spec)
     y = np.asarray(labels, dtype=float)
     phi = apply_ansatz(states, params.thetas, pool, spec, factors)
-    h = expectation_batch(phi, observable.expr, pool.n)
+    o_phi = apply_observable(phi, observable.expr, pool.n)
+    h = expectation_from(phi, o_phi, observable.expr)
     preds = params.a * h + params.b
     dz = 2.0 * (preds - y) / y.size  # dL/dpreds
-    lam = apply_observable(phi, observable.expr, pool.n) * (params.a * dz)
+    lam = o_phi * (params.a * dz)
     gt = adjoint_angle_gradient(phi, lam, params.thetas, factors, pool.n)
     return (mse_loss(preds, y), gt, float(np.dot(dz, h)), float(np.sum(dz)),
             preds)

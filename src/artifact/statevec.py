@@ -86,22 +86,28 @@ def fwht(a: np.ndarray, axis: int = 0) -> np.ndarray:
     Returns a new array; does not modify the input.
     """
     a = np.asarray(a)
-    b = np.moveaxis(a, axis, 0)
+    b = np.moveaxis(a, axis, 0) if axis else a  # axis 0 needs no moveaxis
     K = b.shape[0]
     if K & (K - 1):
         raise ValueError(f"axis length must be a power of two, got {K}")
     tail = b.shape[1:]
+    # the copy keeps the input's memory order, and so does the output
     b = b.reshape(K, -1).astype(np.result_type(b.dtype, np.float64), copy=True)
+    c = np.empty_like(b)
     h = 1
     while h < K:
-        b = b.reshape(K // (2 * h), 2, h, -1)
-        top = b[:, 0].copy()
-        bot = b[:, 1].copy()
-        b[:, 0] = (top + bot) * SQRT2_INV
-        b[:, 1] = (top - bot) * SQRT2_INV
-        b = b.reshape(K, -1)
+        # each stage writes (top + bot) / sqrt(2) and (top - bot) / sqrt(2)
+        # into the other buffer: an in-place add on the interleaved halves
+        # would make numpy copy the bottom half first
+        v = b.reshape(K // (2 * h), 2, h, -1)
+        w = c.reshape(K // (2 * h), 2, h, -1)
+        np.add(v[:, 0], v[:, 1], out=w[:, 0])
+        np.subtract(v[:, 0], v[:, 1], out=w[:, 1])
+        c *= SQRT2_INV
+        b, c = c, b
         h *= 2
-    return np.moveaxis(b.reshape((K,) + tail), 0, axis)
+    b = b.reshape((K,) + tail)
+    return np.moveaxis(b, 0, axis) if axis else b
 
 
 def apply_wht(state: np.ndarray, n: int) -> np.ndarray:
@@ -250,8 +256,16 @@ def expectation_batch(states: np.ndarray, expr: ObservableExpr, n: int,
     A persistent imaginary part signals a non-Hermitian composition and
     raises rather than being silently discarded.
     """
-    w = apply_observable(states, expr, n)
-    vals = np.einsum("d...,d...->...", states.conj(), w)
+    return expectation_from(states, apply_observable(states, expr, n), expr,
+                            imag_tol)
+
+
+def expectation_from(states: np.ndarray, o_states: np.ndarray,
+                     expr: ObservableExpr,
+                     imag_tol: float = 1e-9) -> np.ndarray:
+    """expectation_batch for o_states = apply_observable(states, expr, n)
+    already computed, so a caller that also needs O|v> applies O once."""
+    vals = np.einsum("d...,d...->...", states.conj(), o_states)
     if np.max(np.abs(vals.imag)) >= imag_tol:
         raise ValueError(
             f"expectation of {expr.name!r} has imaginary residue; "

@@ -11,13 +11,13 @@ Two symmetry representations act on the 2n-qubit pair register:
 
 The pool is a fixed, named, ordered list of ten structured operators.
 build_pool is the one place that certifies them: it checks each family
-numerically (densely, at a small register size) for Hermiticity and for
-commutation with both representations, and raises on any failure, so every
-entry it returns serves both as an ansatz generator and as a measured
-observable. Nearest-neighbour two-qubit sums run within each register
-(open line, i and i+1 in the same register): sums crossing the register
-boundary do not commute with the exchange network and would break
-equivariance.
+numerically (densely, at a small register size, once per process) for
+Hermiticity and for commutation with both representations, and raises on
+any failure, so every entry it returns serves both as an ansatz generator
+and as a measured observable. Nearest-neighbour two-qubit sums run within
+each register (open line, i and i+1 in the same register): sums crossing
+the register boundary do not commute with the exchange network and would
+break equivariance.
 
 Each entry also carries its exponentiation structure: a list of mutually
 commuting involutory factors T_k with entry = sum_k T_k (or the single
@@ -157,19 +157,18 @@ def check_equivariance(expr: ObservableExpr, reps=None,
     return worst
 
 
-def build_pool(n: int, tol: float = 1e-10) -> OperatorPool:
-    """The ten documented entries at register size n, certified densely.
+# (candidates at VALIDATION_N, tol) pairs that passed _certify, so each
+# process pays the dense check once per candidate list, not once per pool
+_CERTIFIED = set()
 
-    Hermiticity and equivariance are certified on the n_check=2 instance of
-    each operator family (the families are index-uniform in n, so the small
-    instance certifies the construction); a failing entry raises ValueError
-    naming it. Every returned entry is therefore usable both as an ansatz
-    generator and as a measured observable.
-    """
-    if n < 2:
-        raise ValueError("pool requires n >= 2 (nearest-neighbour sums)")
+
+def _certify(candidates: tuple, tol: float) -> None:
+    """Dense Hermiticity and equivariance of each (name, factors) candidate
+    at VALIDATION_N; a failing entry raises ValueError naming it."""
+    if (candidates, tol) in _CERTIFIED:
+        return
     reps_small = symmetry_reps(VALIDATION_N)
-    for name, factors in _pool_candidates(VALIDATION_N):
+    for name, factors in candidates:
         expr_small = ObservableExpr(name, factors)
         if not is_hermitian_dense(expr_small, VALIDATION_N, tol):
             raise ValueError(f"pool entry {name!r} is not Hermitian")
@@ -177,6 +176,22 @@ def build_pool(n: int, tol: float = 1e-10) -> OperatorPool:
         if comm > tol:
             raise ValueError(f"pool entry {name!r} is not equivariant "
                              f"(commutator norm {comm:.3e})")
+    _CERTIFIED.add((candidates, tol))
+
+
+def build_pool(n: int, tol: float = 1e-10) -> OperatorPool:
+    """The ten documented entries at register size n, certified densely.
+
+    Hermiticity and equivariance are certified on the n_check=2 instance of
+    each operator family (the families are index-uniform in n, so the small
+    instance certifies the construction); a failing entry raises ValueError
+    naming it. Every returned entry is therefore usable both as an ansatz
+    generator and as a measured observable. The certification does not
+    depend on n, so a process runs it once per candidate list and tol.
+    """
+    if n < 2:
+        raise ValueError("pool requires n >= 2 (nearest-neighbour sums)")
+    _certify(tuple(_pool_candidates(VALIDATION_N)), tol)
     exprs = [ObservableExpr(name, factors)
              for name, factors in _pool_candidates(n)]
     return OperatorPool(n, tuple(PoolEntry(e.name, e, _exp_terms(e))

@@ -12,7 +12,9 @@ wide column gradient back to the conv input, and runs the full
 convolution backward at layer 1; its MLP
 reference backward also computes the unused input gradient. Adam's
 reference is the per-tensor update that optim.adam_step does in place on
-one flat vector.
+one flat vector. The staged Walsh-Hadamard transform copies both halves
+at every butterfly stage, and the two-readout qnn_u gradient applies the
+readout once for <O> and once more for the adjoint seed.
 """
 
 from __future__ import annotations
@@ -23,7 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from artifact.qnn_meas import standardize
-from artifact.qnn_var import generator_entries, mse_loss
+from artifact.qnn_var import (
+    adjoint_angle_gradient,
+    ansatz_factors,
+    apply_ansatz,
+    generator_entries,
+    mse_loss,
+)
 from artifact.statevec import (
     apply_observable,
     expectation,
@@ -31,6 +39,34 @@ from artifact.statevec import (
     phase_state,
     product_state,
 )
+
+
+SQRT2_INV = 1.0 / np.sqrt(2.0)
+
+
+def staged_fwht(a: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Orthonormal fast Walsh-Hadamard transform along one axis.
+
+    Applies H^(x)m (1/sqrt(2) per qubit) to an axis of length 2**m.
+    Returns a new array; does not modify the input.
+    """
+    a = np.asarray(a)
+    b = np.moveaxis(a, axis, 0)
+    K = b.shape[0]
+    if K & (K - 1):
+        raise ValueError(f"axis length must be a power of two, got {K}")
+    tail = b.shape[1:]
+    b = b.reshape(K, -1).astype(np.result_type(b.dtype, np.float64), copy=True)
+    h = 1
+    while h < K:
+        b = b.reshape(K // (2 * h), 2, h, -1)
+        top = b[:, 0].copy()
+        bot = b[:, 1].copy()
+        b[:, 0] = (top + bot) * SQRT2_INV
+        b[:, 1] = (top - bot) * SQRT2_INV
+        b = b.reshape(K, -1)
+        h *= 2
+    return np.moveaxis(b.reshape((K,) + tail), 0, axis)
 
 
 def apply_exp_generator(states, entry, theta, n, term_shift=None):
@@ -99,6 +135,23 @@ def shift_angle_gradient(states, labels, params, pool, spec, observable):
     return np.array([params.a * float(np.dot(dz, shift_gradient_h(
         states, params.thetas, pool, spec, observable, k)))
         for k in range(params.thetas.size)])
+
+
+def two_readout_loss_and_gradient(states, labels, params, pool, spec,
+                                  observable, factors=None):
+    """qnn_var.loss_and_gradient with the readout O applied twice: once
+    inside expectation_batch for <O> and once more for the adjoint seed."""
+    if factors is None:
+        factors = ansatz_factors(pool, spec)
+    y = np.asarray(labels, dtype=float)
+    phi = apply_ansatz(states, params.thetas, pool, spec, factors)
+    h = expectation_batch(phi, observable.expr, pool.n)
+    preds = params.a * h + params.b
+    dz = 2.0 * (preds - y) / y.size  # dL/dpreds
+    lam = apply_observable(phi, observable.expr, pool.n) * (params.a * dz)
+    gt = adjoint_angle_gradient(phi, lam, params.thetas, factors, pool.n)
+    return (mse_loss(preds, y), gt, float(np.dot(dz, h)), float(np.sum(dz)),
+            preds)
 
 
 def structured_features(x1, x2, pool):

@@ -9,6 +9,7 @@ from artifact.dataset import (
     Dataset,
     DatasetFormatError,
     SamplePair,
+    _round_vector,
     default_epsilon,
     generate_dataset,
     load_dataset,
@@ -76,6 +77,39 @@ def test_sign_round_breaks_zeros_fairly():
     assert abs(bits.mean() - 0.5) < 0.01
     assert np.all(sign_round(np.array([0.3, -0.2, 1.0, -1.0]), rng)
                   == np.array([0, 1, 0, 1]))
+
+
+def rounding_inputs(rng):
+    """1,200 vectors holding exact zeros, -0.0 and values beyond +-1."""
+    for i in range(1200):
+        z = rng.normal(0.0, 0.5 + i % 4, 2 ** (1 + i % 7))
+        z[rng.random(z.size) < 0.2] = 0.0
+        z[rng.random(z.size) < 0.1] = -0.0
+        yield z
+
+
+def test_sign_rounding_skips_the_clamp_and_changes_nothing():
+    rng = np.random.default_rng(9)
+    fast, ref = np.random.default_rng(10), np.random.default_rng(10)
+    zeros = beyond = 0
+    for z in rounding_inputs(rng):
+        zeros += int(np.sum(z == 0.0))
+        beyond += int(np.sum(np.abs(z) > 1.0))
+        got = _round_vector(z, fast, "sign")
+        want = sign_round(truncate(z), ref)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert fast.bit_generator.state == ref.bit_generator.state
+    assert zeros > 1000 and beyond > 1000
+
+
+@pytest.mark.parametrize("rounding", ["sign", "randomized"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rounding_rejects_non_finite_before_any_draw(rounding, bad):
+    rng = np.random.default_rng(11)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="finite"):
+        _round_vector(np.array([0.0, bad, 0.0, -0.5]), rng, rounding)
+    assert rng.bit_generator.state == before
 
 
 # --- sample_pair ------------------------------------------------------------

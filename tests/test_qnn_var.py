@@ -37,6 +37,7 @@ from oracles import (
     reference_h,
     shift_angle_gradient,
     shift_gradient_h,
+    two_readout_loss_and_gradient,
 )
 from test_golden_records import LOSS_RTOL
 
@@ -270,6 +271,27 @@ def test_pruned_circuit_matches_full_circuit(pool, name):
         fd_angle_gradient(states, y, params, pool, spec, obs)[:live],
         rtol=0, atol=1e-6)
     assert np.all(gt[live:] == 0.0)
+
+
+@pytest.mark.parametrize("pruned", [True, False], ids=["pruned", "full"])
+@pytest.mark.parametrize("pool", [POOL2, POOL3], ids=["n2", "n3"])
+@pytest.mark.parametrize("name", POOL2.names())
+def test_readout_applied_once_matches_the_two_readout_oracle(pool, name,
+                                                              pruned):
+    rng = np.random.default_rng(17)
+    ds = generate_dataset(n=pool.n, epsilon=None, count_per_class=3, seed=7)
+    states, y = encode_pairs(ds.samples, pool.n)
+    spec = AnsatzSpec()
+    params = QnnUParams(rng.uniform(-1, 1, spec.param_count()), 1.3, -0.2)
+    obs = pool.entry(name)
+    skipped = pruned_blocks(pool, spec, obs) if pruned else 0
+    factors = ansatz_factors(pool, spec, spec.param_count() - skipped)
+    got = loss_and_gradient(states, y, params, pool, spec, obs,
+                            factors=factors)
+    ref = two_readout_loss_and_gradient(states, y, params, pool, spec, obs,
+                                        factors=factors)
+    for a, b in zip(got, ref):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 @pytest.mark.parametrize("pool", [POOL3, POOL4], ids=["n3", "n4"])

@@ -1,5 +1,7 @@
 """Statevector core: dense-matrix oracles, transform identities, forrelation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from artifact.statevec import (
     phase_state,
     product_state,
 )
+from oracles import staged_fwht
 
 
 def random_bits(rng, N):
@@ -131,6 +134,96 @@ def test_fwht_preserves_norm():
     rng = np.random.default_rng(5)
     v = rng.standard_normal(64)
     assert abs(np.linalg.norm(fwht(v)) - np.linalg.norm(v)) < 1e-12
+
+
+def assert_same_bytes_and_layout(out, ref):
+    assert out.dtype == ref.dtype and out.shape == ref.shape
+    assert out.tobytes() == ref.tobytes()
+    # einsum's summation order follows the layout, so it is part of the
+    # contract: qnn_m's train_loss moves in its last bit without it
+    assert out.flags.c_contiguous == ref.flags.c_contiguous
+    assert out.flags.f_contiguous == ref.flags.f_contiguous
+    assert out.strides == ref.strides
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_fwht_matches_the_staged_oracle_on_vectors(m):
+    rng = np.random.default_rng(m)
+    for _ in range(20):
+        for v in (1.0 - 2.0 * rng.integers(0, 2, 2 ** m),
+                  rng.standard_normal(2 ** m)):
+            assert_same_bytes_and_layout(fwht(v), staged_fwht(v))
+
+
+def fwht_inputs(rng):
+    """Real and complex 2-D and 3-D arrays, C-ordered, transposed and
+    strided, including the (S, N) rows of qnn_meas."""
+    for shape in ((8, 5), (5, 8), (16, 16), (4, 8, 3), (2, 4, 8), (8, 1, 4)):
+        for complex_ in (False, True):
+            a = rng.standard_normal(shape)
+            if complex_:
+                a = a + 1j * rng.standard_normal(shape)
+            yield from (a, a.T, a[::-1], np.asfortranarray(a))
+
+
+def test_fwht_matches_the_staged_oracle_along_every_axis():
+    rng = np.random.default_rng(11)
+    checked = 0
+    for a in fwht_inputs(rng):
+        for axis in range(a.ndim):
+            if a.shape[axis] & (a.shape[axis] - 1):
+                continue
+            assert_same_bytes_and_layout(fwht(a, axis=axis),
+                                         staged_fwht(a, axis=axis))
+            checked += 1
+    assert checked >= 90
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fwht_chained_as_in_apply_wht_matches_the_staged_oracle(n):
+    rng = np.random.default_rng(n)
+    for S in (1, 3, 20):
+        v = rng.standard_normal((4 ** n, S)) + 1j * rng.standard_normal(
+            (4 ** n, S))
+        x = v.reshape(2 ** n, 2 ** n, -1)
+        assert_same_bytes_and_layout(
+            fwht(fwht(x, axis=0), axis=1),
+            staged_fwht(staged_fwht(x, axis=0), axis=1))
+        assert_same_bytes_and_layout(
+            apply_wht(v, n),
+            staged_fwht(staged_fwht(x, axis=0), axis=1).reshape(v.shape))
+
+
+def integer_wht(s):
+    """The unnormalized Hadamard transform of an integer vector, exactly."""
+    v = np.asarray(s, dtype=np.int64)
+    h = 1
+    while h < v.size:
+        b = v.reshape(-1, 2, h)
+        v = np.stack([b[:, 0] + b[:, 1], b[:, 0] - b[:, 1]], axis=1).ravel()
+        h *= 2
+    return v
+
+
+def pm_one_vectors(m, rng):
+    """Every +-1 vector of length 2**m for m <= 3, else 2,000 random ones."""
+    if m <= 3:
+        return np.array(list(itertools.product((1.0, -1.0), repeat=2 ** m)))
+    return 1.0 - 2.0 * rng.integers(0, 2, (2000, 2 ** m))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_fwht_zeros_of_sign_vectors_are_exact_at_small_n(m):
+    """Sign rounding breaks exact zeros by a coin, so the float transform of
+    a +-1 vector must be exactly zero where the integer one is. This holds
+    for n <= 4 only (README: Known issues)."""
+    rng = np.random.default_rng(m)
+    zeros = 0
+    for s in pm_one_vectors(m, rng):
+        exact = integer_wht(s.astype(np.int64)) == 0
+        np.testing.assert_array_equal(fwht(s) == 0.0, exact)
+        zeros += int(exact.sum())
+    assert zeros > 0
 
 
 def test_apply_wht_matches_dense():

@@ -146,6 +146,33 @@ def test_build_pool_rejects_bad_candidate(monkeypatch, name, factors, message):
         build_pool(3)
 
 
+def test_certification_runs_once_per_candidate_list(monkeypatch):
+    calls = []
+    original = symmetry.is_hermitian_dense
+
+    def counting(expr, *args):
+        calls.append(expr.name)
+        return original(expr, *args)
+
+    monkeypatch.setattr(symmetry, "_CERTIFIED", set())
+    monkeypatch.setattr(symmetry, "is_hermitian_dense", counting)
+    pools = [build_pool(n) for n in (2, 3, 5, 2)]
+    assert calls == EXPECTED_ORDER
+    assert [p.n for p in pools] == [2, 3, 5, 2]
+    assert all(p.names() == EXPECTED_ORDER for p in pools)
+    build_pool(4, tol=1e-9)  # another tol is another certification
+    assert calls == EXPECTED_ORDER * 2
+
+
+def test_a_failed_certification_is_not_remembered(monkeypatch):
+    monkeypatch.setattr(symmetry, "_CERTIFIED", set())
+    monkeypatch.setattr(symmetry, "is_hermitian_dense", lambda *args: False)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="'sum_y' is not Hermitian"):
+            build_pool(2)
+    assert not symmetry._CERTIFIED
+
+
 def test_pool_k_bounds():
     with pytest.raises(ValueError):
         build_pool(1)
