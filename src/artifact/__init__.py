@@ -8,6 +8,7 @@ baselines, and emits reproducible experiment tables as CSV.
 """
 
 from .classical import CnnSpec, MlpSpec, SiameseModel, cnn_spec_for, train_siamese
+from .config import ConfigError, ExperimentConfig, load_config, make_config
 from .dataset import (
     Dataset,
     SamplePair,
@@ -20,19 +21,14 @@ from .dataset import (
 )
 from .harness import (
     CSV_HEADER,
-    ConfigError,
-    ExperimentConfig,
     RunRecord,
     derive_seed,
     emit_csv,
-    load_config,
-    make_config,
     read_csv,
     run_experiment,
-    run_oracle_check,
     summarize,
-    validate_pool_report,
 )
+from .oracle import run_oracle_check, validate_pool_report
 from .qnn_meas import (
     LassoModel,
     extract_feature_matrix,

@@ -22,19 +22,16 @@ import traceback
 from dataclasses import replace
 from pathlib import Path
 
+from .config import EXPERIMENTS, ConfigError, load_config, make_config
 from .dataset import generate_dataset, save_dataset
 from .harness import (
-    EXPERIMENTS,
-    ConfigError,
     emit_csv,
     format_summary,
-    load_config,
-    make_config,
     read_csv,
     run_experiment,
     summarize,
-    validate_pool_report,
 )
+from .oracle import run_oracle_check, validate_pool_report
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,16 +114,17 @@ def _cmd_run(args) -> int:
     else:
         config = make_config(args.experiment, master_seed=args.seed)
 
-    result = run_experiment(config)
     if config.experiment == "oracle":
+        report = run_oracle_check(config)
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2)
-        status = "pass" if result["pass"] else "FAIL"
+            json.dump(report, fh, indent=2)
+        status = "pass" if report["pass"] else "FAIL"
         print(f"oracle check: {status} (report written to {args.out})")
-        return 0 if result["pass"] else 1
-    emit_csv(result, args.out)
-    print(f"wrote {len(result)} records to {args.out}")
-    print(format_summary(summarize(result)))
+        return 0 if report["pass"] else 1
+    records = run_experiment(config)
+    emit_csv(records, args.out)
+    print(f"wrote {len(records)} records to {args.out}")
+    print(format_summary(summarize(records)))
     return 0
 
 

@@ -24,7 +24,9 @@ import scipy.linalg
 
 from artifact.classical import MlpSpec, SiameseModel
 from artifact.dataset import SamplePair, generate_dataset, stack_pairs
-from artifact.harness import make_config, run_experiment, summarize
+from artifact.config import make_config
+from artifact.harness import run_experiment, summarize
+from artifact.oracle import run_oracle_check
 from artifact.qnn_meas import extract_feature_matrix, lasso_fit, lasso_scores
 from artifact.qnn_var import (
     AnsatzSpec,
@@ -111,7 +113,7 @@ def fig5_records():
 
 @pytest.fixture(scope="module")
 def oracle_report():
-    return run_experiment(make_config("oracle", master_seed=ACCEPT_SEED))
+    return run_oracle_check(make_config("oracle", master_seed=ACCEPT_SEED))
 
 
 def _fig3_clauses(records):

@@ -3,27 +3,27 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from artifact.cli import main
+from artifact.config import ConfigError, load_config, make_config
 from artifact.dataset import generate_dataset, load_dataset
 from artifact.harness import (
     CSV_HEADER,
-    ConfigError,
     RunRecord,
     _draw_disjoint_test,
     derive_seed,
     emit_csv,
     final_records,
-    load_config,
-    make_config,
     read_csv,
+    run_block,
     run_experiment,
-    run_oracle_check,
     summarize,
 )
+from artifact.oracle import run_oracle_check
 
 
 def make_record(trial=0, model="qnn_m", n=4, M=20, epoch=3, loss=0.1,
@@ -107,6 +107,15 @@ def test_invalid_values_rejected():
             make_config(experiment, sweep_n=(4, 5))
     with pytest.raises(ConfigError, match="n must not be set"):
         make_config("fig5", n=4)
+    for field, value in (("sweep_n", (4, 5)), ("trials", 7),
+                         ("models", ("dnn",)), ("per_class_counts", (10,)),
+                         ("test_per_class", 2), ("epochs", 3), ("lr", 0.1),
+                         ("record_every", 1)):
+        with pytest.raises(ConfigError, match="oracle report does not read"):
+            make_config("oracle", **{field: value})
+    assert make_config("oracle").n == 10
+    make_config("oracle", n=4, master_seed=3, epsilon=0.2, lam=0.05,
+                rounding="randomized", partner="gaussian")
 
 
 def test_cnn_register_size_constraint():
@@ -335,6 +344,33 @@ def test_fig5_sweeps_register_sizes():
     records = run_experiment(config)
     assert sorted({r.n for r in records}) == [2, 3]
     assert all(r.M == 6 for r in records)
+
+
+def _without_wall_ms(records):
+    return [repr(replace(r, wall_ms=0.0)) for r in records]
+
+
+@pytest.mark.parametrize("config, n, trial", [
+    (make_config("fig4", n=4, trials=2, per_class_counts=(1, 3),
+                 models=("qnn_m", "dnn"), test_per_class=4, epochs=3), 4, 1),
+    (make_config("fig5", sweep_n=(2, 3), trials=2, per_class_counts=(2,),
+                 models=("qnn_m", "dnn"), test_per_class=4, epochs=3), 3, 1),
+], ids=["fig4", "fig5"])
+def test_a_block_run_alone_equals_its_rows_in_the_full_run(config, n, trial):
+    full = run_experiment(config)
+    block = run_block(config, n, trial)
+    assert block and {(r.n, r.trial) for r in block} == {(n, trial)}
+    assert _without_wall_ms(block) == _without_wall_ms(
+        [r for r in full if (r.n, r.trial) == (n, trial)])
+    sizes = config.sweep_n if config.experiment == "fig5" else (config.n,)
+    blocks = [r for size in sizes for t in range(config.trials)
+              for r in run_block(config, size, t)]
+    assert _without_wall_ms(full) == _without_wall_ms(blocks)
+
+
+def test_run_experiment_rejects_the_oracle_config():
+    with pytest.raises(ConfigError, match="run_oracle_check"):
+        run_experiment(make_config("oracle"))
 
 
 def test_oracle_report_passes():

@@ -8,7 +8,7 @@ import scipy.linalg
 
 import oracles
 from artifact import qnn_var
-from artifact.dataset import generate_dataset
+from artifact.dataset import SamplePair, generate_dataset
 from artifact.optim import adam_step
 from artifact.qnn_var import (
     AnsatzSpec,
@@ -433,19 +433,27 @@ def test_training_is_deterministic_given_seed():
                 or (math.isnan(a.test_acc) and math.isnan(b.test_acc)))
 
 
-def test_predictions_invariant_under_input_exchange():
+@pytest.mark.parametrize("readout", POOL3.names())
+def test_predictions_invariant_under_input_exchange(readout):
+    """Exchange and double complement leave qnn_u's predictions unchanged,
+    with every readout and random angles, through the full circuit and
+    through the pruned factors that train_qnn_u simulates."""
     rng = np.random.default_rng(10)
     spec = AnsatzSpec()
-    params = QnnUParams(rng.uniform(-1, 1, spec.param_count()), 1.0, 0.0)
-    obs = POOL2.entry("swap")
-    for _ in range(5):
-        b1 = rng.integers(0, 2, 4).astype(np.uint8)
-        b2 = rng.integers(0, 2, 4).astype(np.uint8)
-        st = product_state(phase_state(b1), phase_state(b2))[:, None]
-        sw = product_state(phase_state(b2), phase_state(b1))[:, None]
-        p1 = model_eval(st, params, POOL2, spec, obs)
-        p2 = model_eval(sw, params, POOL2, spec, obs)
-        assert abs(float(p1[0]) - float(p2[0])) <= 1e-10
+    params = QnnUParams(rng.uniform(-np.pi, np.pi, spec.param_count()),
+                        rng.normal(), rng.normal())
+    obs = POOL3.entry(readout)
+    pruned = ansatz_factors(POOL3, spec, spec.param_count()
+                            - pruned_blocks(POOL3, spec, obs))
+    X1, X2 = rng.integers(0, 2, (2, 100, 8), dtype=np.uint8)
+    variants = [[SamplePair(a, b, 0) for a, b in zip(P, Q)]
+                for P, Q in ((X1, X2), (X2, X1), (1 - X1, 1 - X2))]
+    for factors in (None, pruned):
+        base, exchanged, complemented = (
+            model_eval(encode_pairs(v, 3)[0], params, POOL3, spec, obs,
+                       factors) for v in variants)
+        assert np.max(np.abs(exchanged - base)) <= 1e-10
+        assert np.max(np.abs(complemented - base)) <= 1e-10
 
 
 def test_init_params_shape_and_range():
