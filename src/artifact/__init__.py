@@ -17,7 +17,6 @@ from .dataset import (
     load_dataset,
     sample_pair,
     save_dataset,
-    stack_pairs,
 )
 from .harness import (
     CSV_HEADER,
@@ -84,7 +83,6 @@ __all__ = [
     "run_oracle_check",
     "sample_pair",
     "save_dataset",
-    "stack_pairs",
     "summarize",
     "train_qnn_u",
     "train_siamese",

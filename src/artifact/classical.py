@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dataset import stack_pairs
 from .optim import accuracy, fit, lay_out
 
 DEFAULT_WIDTHS = (128, 64, 32)
@@ -356,12 +355,6 @@ class SiameseResult:
     stopped_early: bool
 
 
-def samples_to_arrays(samples, prepare):
-    """(X1, X2, y) of stack_pairs, the barcodes passed through prepare."""
-    X1, X2, y = stack_pairs(samples)
-    return prepare(X1), prepare(X2), y
-
-
 def train_siamese(train_samples, spec, seed: int = 0,
                   epochs: int = DEFAULT_EPOCHS, lr: float = DEFAULT_LR,
                   test_samples=None, record_every: int = 1) -> SiameseResult:
@@ -369,9 +362,11 @@ def train_siamese(train_samples, spec, seed: int = 0,
     perfect and at least MIN_EPOCHS_BEFORE_STOP epochs have run. Epoch 0
     records the pre-training baseline."""
     model = SiameseModel(spec, np.random.default_rng(seed))
-    X1, X2, y = samples_to_arrays(train_samples, model.encoder.prepare)
+    prepare = model.encoder.prepare
+    X1, X2, y = (prepare(train_samples.X1), prepare(train_samples.X2),
+                 train_samples.y)
     if test_samples is not None:
-        tX1, tX2, ty = samples_to_arrays(test_samples, model.encoder.prepare)
+        tX1, tX2 = prepare(test_samples.X1), prepare(test_samples.X2)
 
     def loss_and_grad():
         return model.loss_and_gradients(X1, X2, y)[:2]
@@ -379,7 +374,8 @@ def train_siamese(train_samples, spec, seed: int = 0,
     def test_acc():
         if test_samples is None:
             return float("nan")
-        return accuracy(model.forward(tX1, tX2, cache=False)[0], ty)
+        return accuracy(model.forward(tX1, tX2, cache=False)[0],
+                        test_samples.y)
 
     records, stopped_early = fit(
         model.params, model.grads, loss_and_grad, y, test_acc, epochs, lr,

@@ -96,7 +96,7 @@ def _cmd_gen_data(args) -> int:
         raise ConfigError("--per-class must be >= 1")
     ds = generate_dataset(args.n, args.epsilon, args.per_class, args.seed)
     save_dataset(ds, args.out)
-    print(f"wrote {len(ds.samples)} samples (n={ds.n}, "
+    print(f"wrote {len(ds)} samples (n={ds.n}, "
           f"epsilon={ds.epsilon:.6g}) to {args.out}")
     return 0
 

@@ -21,14 +21,15 @@ partner (correlated class only):
                 rounded independently afterwards.
 
 All sampling is reproducible from (seed, n, epsilon, count) plus the mode
-knobs; the generator is numpy's PCG64 (``numpy.random.default_rng``).
+knobs; the generator is numpy's PCG64 (``numpy.random.default_rng``). Pairs
+are drawn one at a time and held as Dataset arrays.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,28 +64,43 @@ class SamplePair:
         return self.x1.tobytes() + self.x2.tobytes()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    samples: tuple  # of SamplePair
+    """S labelled pairs as arrays: X1 and X2 hold the barcodes as (S, N)
+    uint8 rows and y the labels as floats. ``ds[:M]`` is the leading M
+    pairs; iterating yields each pair as a SamplePair of row views."""
+    X1: np.ndarray
+    X2: np.ndarray
+    y: np.ndarray
     n: int
     epsilon: float
     seed: int
 
     def __post_init__(self):
-        N = 2 ** self.n
-        for s in self.samples:
-            if s.x1.size != N:
-                raise ValueError("sample length inconsistent with n")
+        rows = (len(self.y), 2 ** self.n)
+        if self.y.ndim != 1 or self.X1.shape != rows or self.X2.shape != rows:
+            raise ValueError(f"X1 {self.X1.shape}, X2 {self.X2.shape} and "
+                             f"y {self.y.shape} are not {rows} barcode pairs")
 
+    @classmethod
+    def from_pairs(cls, pairs, n: int, epsilon: float, seed: int):
+        """The arrays of drawn or loaded pairs, in their order."""
+        pairs = tuple(pairs)
+        rows = (len(pairs), 2 ** n)  # also for no pairs
+        return cls(np.array([p.x1 for p in pairs], np.uint8).reshape(rows),
+                   np.array([p.x2 for p in pairs], np.uint8).reshape(rows),
+                   np.array([p.label for p in pairs], float), n,
+                   float(epsilon), int(seed))
 
-def stack_pairs(samples):
-    """(X1, X2, y): the pairs' barcodes as (S, N) uint8 rows and their
-    labels as floats, the one route from sample pairs to arrays."""
-    samples = tuple(samples)
-    X1 = np.array([s.x1 for s in samples], dtype=np.uint8)
-    X2 = np.array([s.x2 for s in samples], dtype=np.uint8)
-    y = np.array([s.label for s in samples], dtype=float)
-    return X1, X2, y
+    def __len__(self) -> int:
+        return len(self.y)
+
+    def __getitem__(self, rows: slice) -> "Dataset":
+        return replace(self, X1=self.X1[rows], X2=self.X2[rows],
+                       y=self.y[rows])
+
+    def __iter__(self):
+        return map(SamplePair, self.X1, self.X2, map(int, self.y))
 
 
 def _finite(z) -> np.ndarray:
@@ -176,11 +192,10 @@ def generate_dataset(n: int, epsilon: float, count_per_class: int, seed: int,
     if epsilon is None:
         epsilon = default_epsilon(n)
     rng = np.random.default_rng(seed)
-    samples = []
-    for _ in range(count_per_class):
-        samples.append(sample_pair(n, epsilon, True, rng, rounding, partner))
-        samples.append(sample_pair(n, epsilon, False, rng, rounding, partner))
-    return Dataset(tuple(samples), n, float(epsilon), int(seed))
+    return Dataset.from_pairs(
+        (sample_pair(n, epsilon, correlated, rng, rounding, partner)
+         for _ in range(count_per_class) for correlated in (True, False)),
+        n, epsilon, seed)
 
 
 class DatasetFormatError(ValueError):
@@ -194,7 +209,7 @@ def save_dataset(ds: Dataset, path) -> None:
         "seed": ds.seed,
         "samples": [
             {"x1": bits_to_string(s.x1), "x2": bits_to_string(s.x2), "y": s.label}
-            for s in ds.samples
+            for s in ds
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -253,4 +268,4 @@ def load_dataset(path) -> Dataset:
         if not _is_int(rec["y"]) or rec["y"] not in (0, 1):
             raise bad(f"sample {i}: label must be the integer 0 or 1")
         samples.append(SamplePair(x1, x2, rec["y"]))
-    return Dataset(tuple(samples), n, float(epsilon), seed)
+    return Dataset.from_pairs(samples, n, epsilon, seed)

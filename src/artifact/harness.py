@@ -1,4 +1,5 @@
-"""Seeded figure runs, one (n, trial) block at a time, and CSV I/O and
+"""Seeded figure runs, one (n, trial) block at a time on arrays drawn once
+per block (dataset.Dataset; prefixes are row slices), and CSV I/O and
 summaries. Configs live in config, the oracle report in oracle.
 
 Experiments:
@@ -39,13 +40,7 @@ import numpy as np
 
 from .classical import MlpSpec, cnn_spec_for, train_siamese
 from .config import ConfigError, ExperimentConfig
-from .dataset import (
-    Dataset,
-    default_epsilon,
-    generate_dataset,
-    sample_pair,
-    stack_pairs,
-)
+from .dataset import Dataset, default_epsilon, generate_dataset, sample_pair
 from .optim import EpochRecord, accuracy
 from .qnn_meas import extract_feature_matrix, lasso_fit, lasso_scores
 from .qnn_var import train_qnn_u
@@ -83,7 +78,7 @@ def derive_seed(master_seed: int, *parts) -> int:
 
 
 def _draw_disjoint_test(n, epsilon, per_class, seed, train_keys, rounding,
-                        partner, max_tries: int = 1000) -> Dataset:
+                        partner) -> Dataset:
     """Fresh test split whose bitstring pairs avoid the training pool."""
     if epsilon is None:
         epsilon = default_epsilon(n)
@@ -91,7 +86,7 @@ def _draw_disjoint_test(n, epsilon, per_class, seed, train_keys, rounding,
     samples = []
     for _ in range(per_class):
         for correlated in (True, False):
-            for _attempt in range(max_tries):
+            for _attempt in range(1000):
                 s = sample_pair(n, epsilon, correlated, rng, rounding, partner)
                 if s.key() not in train_keys:
                     samples.append(s)
@@ -99,12 +94,12 @@ def _draw_disjoint_test(n, epsilon, per_class, seed, train_keys, rounding,
             else:
                 raise RuntimeError("could not draw a test sample disjoint "
                                    "from the training pool")
-    return Dataset(tuple(samples), n, float(epsilon), int(seed))
+    return Dataset.from_pairs(samples, n, epsilon, seed)
 
 
 def _block_seed(config: ExperimentConfig, n: int, trial: int, role: str):
     """A block's seed for one role. fig5 tags data and model seeds with n
-    here, run_block tags fig4's model roles with M, and fig3 tags neither."""
+    here, fit_block tags fig4's model roles with M, and fig3 tags neither."""
     tag = f"n{n}:" if config.experiment == "fig5" else ""
     return derive_seed(config.master_seed, config.experiment, trial,
                        tag + role)
@@ -118,28 +113,28 @@ def block_data(config: ExperimentConfig, n: int, trial: int):
                                   config.rounding, config.partner)
     test = _draw_disjoint_test(n, config.epsilon, config.test_per_class,
                                _block_seed(config, n, trial, "test"),
-                               {s.key() for s in train_pool.samples},
+                               {s.key() for s in train_pool},
                                config.rounding, config.partner)
     return train_pool, test
 
 
 def run_block(config: ExperimentConfig, n: int, trial: int) -> list:
-    """One (n, trial) block's records: every model trained on the
-    class-balanced prefix of the block's training pool for each per-class
-    count, and tested on the block's test split.
+    """One (n, trial) block's records, on the block's own data."""
+    return fit_block(config, n, trial, *block_data(config, n, trial))
 
-    A qnn_m feature row depends on its pair alone, so the pool's and the
-    test split's feature matrices and labels are built once per block and
-    each prefix takes their leading rows.
-    """
-    train_pool, test = block_data(config, n, trial)
+
+def fit_block(config: ExperimentConfig, n: int, trial: int,
+              train_pool: Dataset, test: Dataset) -> list:
+    """run_block on drawn data: every model trained on the class-balanced
+    prefix of the training pool for each per-class count and tested on the
+    test split. A qnn_m feature row depends on its pair alone, so the pool's
+    and the test split's feature matrices are built once and each prefix
+    takes their leading rows."""
     if {"qnn_m", "qnn_u"} & set(config.models):
         pool = build_pool(n)
     if "qnn_m" in config.models:
-        F_pool = extract_feature_matrix(train_pool.samples, pool)
-        F_test = extract_feature_matrix(test.samples, pool)
-        y_pool, y_test = (stack_pairs(train_pool.samples)[2],
-                          stack_pairs(test.samples)[2])
+        F_pool = extract_feature_matrix(train_pool, pool)
+        F_test = extract_feature_matrix(test, pool)
     # only the training fields the config sets; the trainers default the rest
     training = {name: getattr(config, name)
                 for name in ("epochs", "lr", "record_every")
@@ -147,29 +142,27 @@ def run_block(config: ExperimentConfig, n: int, trial: int) -> list:
     records = []
     for m_per in config.per_class_counts:
         M = 2 * m_per
-        train = train_pool.samples[:M]  # interleaved: balanced
+        train = train_pool[:M]  # interleaved: balanced
         m_tag = f"M{M}:" if config.experiment == "fig4" else ""
         for model_name in config.models:
             seed = _block_seed(config, n, trial,
                                f"{m_tag}model:{model_name}:M{M}")
             t0 = time.perf_counter()
             if model_name == "qnn_m":
-                F, y = F_pool[:M], y_pool[:M]
+                F, y = F_pool[:M], train.y
                 lasso = lasso_fit(F, y, feature_names=tuple(pool.names()),
                                   lam=config.lam)
                 rows = [EpochRecord(
                     lasso.sweeps_used, lasso.objective_history[-1],
                     accuracy(lasso_scores(lasso, F), y),
-                    accuracy(lasso_scores(lasso, F_test), y_test))]
+                    accuracy(lasso_scores(lasso, F_test), test.y))]
             elif model_name == "qnn_u":
-                rows = train_qnn_u(train, pool, seed=seed,
-                                   test_samples=test.samples,
+                rows = train_qnn_u(train, pool, seed=seed, test_samples=test,
                                    **training).records
             else:
                 spec = (MlpSpec(2 ** n) if model_name == "dnn"
                         else cnn_spec_for(n))
-                rows = train_siamese(train, spec, seed=seed,
-                                     test_samples=test.samples,
+                rows = train_siamese(train, spec, seed=seed, test_samples=test,
                                      **training).records
             wall_ms = (time.perf_counter() - t0) * 1000.0
             records.extend(

@@ -8,8 +8,8 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ExperimentConfig, make_config
-from .dataset import default_epsilon, sample_pair, stack_pairs
-from .harness import block_data, derive_seed, run_block
+from .dataset import Dataset, default_epsilon, sample_pair
+from .harness import block_data, derive_seed, fit_block
 from .statevec import expectation, forrelation, phase_state, product_state
 from .symmetry import build_pool, check_invariance_conditions
 
@@ -67,7 +67,7 @@ def run_oracle_check(config: ExperimentConfig) -> dict:
                else default_epsilon(n))
         f_corr, f_unc = (_forrelations([
             sample_pair(n, eps, correlated, rng, config.rounding,
-                        config.partner) for _ in range(per_class)])[0]
+                        config.partner) for _ in range(per_class)])
             for correlated in (True, False))
         se = np.sqrt(f_corr.var(ddof=1) / per_class
                      + f_unc.var(ddof=1) / per_class)
@@ -92,9 +92,9 @@ def run_oracle_check(config: ExperimentConfig) -> dict:
                        models=("qnn_m",), epsilon=config.epsilon,
                        lam=config.lam, rounding=config.rounding,
                        partner=config.partner)
-    qnn_acc = run_block(cfg5, n5, 0)[0].test_acc
     train_pool, test = block_data(cfg5, n5, 0)
-    thr_acc = _threshold_classifier_accuracy(train_pool.samples, test.samples)
+    qnn_acc = fit_block(cfg5, n5, 0, train_pool, test)[0].test_acc
+    thr_acc = _threshold_classifier_accuracy(train_pool, test)
     report["threshold_vs_qnn_m"] = {
         "n": n5, "threshold_acc": thr_acc, "qnn_m_acc": qnn_acc,
         "margin": 0.05, "pass": bool(thr_acc >= qnn_acc - 0.05),
@@ -108,24 +108,23 @@ def run_oracle_check(config: ExperimentConfig) -> dict:
     return report
 
 
-def _forrelations(samples):
-    """(F per pair, labels) of a sequence of sample pairs."""
-    X1, X2, y = stack_pairs(samples)
-    return np.array([forrelation(x1, x2) for x1, x2 in zip(X1, X2)]), y
+def _forrelations(pairs) -> np.ndarray:
+    """F of each pair of a sequence of pairs."""
+    return np.array([forrelation(s.x1, s.x2) for s in pairs])
 
 
-def _threshold_classifier_accuracy(train_samples, test_samples) -> float:
+def _threshold_classifier_accuracy(train: Dataset, test: Dataset) -> float:
     """Best single threshold on F fit on the training split."""
-    f_train, y_train = _forrelations(train_samples)
+    f_train = _forrelations(train)
     candidates = np.concatenate([[0.0], np.sort(f_train), [1.0]])
     best_thr, best_acc = 0.5, -1.0
     for i in range(candidates.size - 1):
         thr = 0.5 * (candidates[i] + candidates[i + 1])
-        acc = float(np.mean((f_train < thr).astype(int) == y_train))
+        acc = float(np.mean((f_train < thr).astype(int) == train.y))
         if acc > best_acc:
             best_acc, best_thr = acc, thr
-    f_test, y_test = _forrelations(test_samples)
-    return float(np.mean((f_test < best_thr).astype(int) == y_test))
+    f_test = _forrelations(test)
+    return float(np.mean((f_test < best_thr).astype(int) == test.y))
 
 
 def validate_pool_report(n: int) -> dict:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import stack_pairs
+from .dataset import Dataset
 from .statevec import fwht, phase_rows
 from .symmetry import OperatorPool
 
@@ -35,15 +35,14 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
-def extract_feature_matrix(samples, pool: OperatorPool) -> np.ndarray:
-    """(S, K) features of S sample pairs, one column per pool observable:
-    its expectation on |a1> (x) |a2>, from the closed forms over all rows
-    at once."""
-    X1, X2, _ = stack_pairs(samples)
+def extract_feature_matrix(pairs: Dataset, pool: OperatorPool) -> np.ndarray:
+    """(S, K) features of S pairs, one column per pool observable: its
+    expectation on |a1> (x) |a2>, from the closed forms over all rows at
+    once."""
     n, N = pool.n, 2 ** pool.n
-    if X1.shape[1] != N:
+    if pairs.n != n:
         raise ValueError("barcode length does not match the pool register size")
-    A1, A2 = phase_rows(X1), phase_rows(X2)
+    A1, A2 = phase_rows(pairs.X1), phase_rows(pairs.X2)
     idx = np.arange(N)
 
     def parity_sign(mask):

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import stack_pairs
+from .dataset import Dataset
 from .optim import accuracy, fit, lay_out
 from .statevec import (
     apply_observable,
@@ -86,16 +86,15 @@ def generator_entries(pool: OperatorPool, spec: AnsatzSpec):
     return [pool.entry(name) for name in spec.generator_names]
 
 
-def encode_pairs(samples, n: int):
+def encode_pairs(pairs: Dataset, n: int):
     """(states, y): the pairs' product states column-wise, (4**n, S)
     complex, and their labels. Amplitude (j, k) of a pair is a1[j] * a2[k],
     the one multiply of np.kron."""
-    X1, X2, y = stack_pairs(samples)
-    if X1.shape[1] != 2 ** n:
+    if pairs.n != n:
         raise ValueError("barcode length does not match the register size")
-    A1, A2 = phase_rows(X1), phase_rows(X2)
+    A1, A2 = phase_rows(pairs.X1), phase_rows(pairs.X2)
     states = (A1[:, :, None] * A2[:, None, :]).reshape(len(A1), -1)
-    return np.asarray(states, dtype=complex).T, y
+    return np.asarray(states, dtype=complex).T, pairs.y
 
 
 def pruned_blocks(pool: OperatorPool, spec: AnsatzSpec,

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
+IMAG_TOL = 1e-9  # imaginary residue that marks a non-Hermitian composition
 
 
 # ---------------------------------------------------------------------------
@@ -242,31 +243,28 @@ def apply_observable(state: np.ndarray, expr: ObservableExpr, n: int) -> np.ndar
     return v
 
 
-def expectation(state: np.ndarray, expr: ObservableExpr, n: int,
-                imag_tol: float = 1e-9) -> float:
+def expectation(state: np.ndarray, expr: ObservableExpr, n: int) -> float:
     """<v|O|v> for one state: expectation_batch, which rejects the
     imaginary residue of a non-Hermitian composition."""
-    return float(expectation_batch(np.asarray(state), expr, n, imag_tol))
+    return float(expectation_batch(np.asarray(state), expr, n))
 
 
-def expectation_batch(states: np.ndarray, expr: ObservableExpr, n: int,
-                      imag_tol: float = 1e-9) -> np.ndarray:
+def expectation_batch(states: np.ndarray, expr: ObservableExpr,
+                      n: int) -> np.ndarray:
     """Column-wise expectations for states of shape (D, S) or (D,).
 
     A persistent imaginary part signals a non-Hermitian composition and
     raises rather than being silently discarded.
     """
-    return expectation_from(states, apply_observable(states, expr, n), expr,
-                            imag_tol)
+    return expectation_from(states, apply_observable(states, expr, n), expr)
 
 
 def expectation_from(states: np.ndarray, o_states: np.ndarray,
-                     expr: ObservableExpr,
-                     imag_tol: float = 1e-9) -> np.ndarray:
+                     expr: ObservableExpr) -> np.ndarray:
     """expectation_batch for o_states = apply_observable(states, expr, n)
     already computed, so a caller that also needs O|v> applies O once."""
     vals = np.einsum("d...,d...->...", states.conj(), o_states)
-    if np.max(np.abs(vals.imag)) >= imag_tol:
+    if np.max(np.abs(vals.imag)) >= IMAG_TOL:
         raise ValueError(
             f"expectation of {expr.name!r} has imaginary residue; "
             "composition is not Hermitian")

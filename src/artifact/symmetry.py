@@ -43,6 +43,7 @@ from .statevec import (
 )
 
 VALIDATION_N = 2  # register size for dense certification
+CERTIFY_TOL = 1e-10  # bound on the dense Hermiticity and commutator residues
 
 
 @dataclass(frozen=True)
@@ -157,29 +158,29 @@ def check_equivariance(expr: ObservableExpr, reps=None,
     return worst
 
 
-# (candidates at VALIDATION_N, tol) pairs that passed _certify, so each
-# process pays the dense check once per candidate list, not once per pool
+# candidate lists at VALIDATION_N that passed _certify, so each process
+# pays the dense check once per candidate list, not once per pool
 _CERTIFIED = set()
 
 
-def _certify(candidates: tuple, tol: float) -> None:
+def _certify(candidates: tuple) -> None:
     """Dense Hermiticity and equivariance of each (name, factors) candidate
     at VALIDATION_N; a failing entry raises ValueError naming it."""
-    if (candidates, tol) in _CERTIFIED:
+    if candidates in _CERTIFIED:
         return
     reps_small = symmetry_reps(VALIDATION_N)
     for name, factors in candidates:
         expr_small = ObservableExpr(name, factors)
-        if not is_hermitian_dense(expr_small, VALIDATION_N, tol):
+        if not is_hermitian_dense(expr_small, VALIDATION_N, CERTIFY_TOL):
             raise ValueError(f"pool entry {name!r} is not Hermitian")
         comm = check_equivariance(expr_small, reps_small, VALIDATION_N)
-        if comm > tol:
+        if comm > CERTIFY_TOL:
             raise ValueError(f"pool entry {name!r} is not equivariant "
                              f"(commutator norm {comm:.3e})")
-    _CERTIFIED.add((candidates, tol))
+    _CERTIFIED.add(candidates)
 
 
-def build_pool(n: int, tol: float = 1e-10) -> OperatorPool:
+def build_pool(n: int) -> OperatorPool:
     """The ten documented entries at register size n, certified densely.
 
     Hermiticity and equivariance are certified on the n_check=2 instance of
@@ -187,11 +188,11 @@ def build_pool(n: int, tol: float = 1e-10) -> OperatorPool:
     instance certifies the construction); a failing entry raises ValueError
     naming it. Every returned entry is therefore usable both as an ansatz
     generator and as a measured observable. The certification does not
-    depend on n, so a process runs it once per candidate list and tol.
+    depend on n, so a process runs it once per candidate list.
     """
     if n < 2:
         raise ValueError("pool requires n >= 2 (nearest-neighbour sums)")
-    _certify(tuple(_pool_candidates(VALIDATION_N)), tol)
+    _certify(tuple(_pool_candidates(VALIDATION_N)))
     exprs = [ObservableExpr(name, factors)
              for name, factors in _pool_candidates(n)]
     return OperatorPool(n, tuple(PoolEntry(e.name, e, _exp_terms(e))

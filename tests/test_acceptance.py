@@ -18,12 +18,14 @@ sample-efficiency and size-scaling experiments run at reduced trial counts
 configurations, to keep the suite inside a practical budget.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from artifact.classical import MlpSpec, SiameseModel
-from artifact.dataset import SamplePair, generate_dataset, stack_pairs
+from artifact.dataset import generate_dataset
 from artifact.config import make_config
 from artifact.harness import run_experiment, summarize
 from artifact.oracle import run_oracle_check
@@ -239,12 +241,11 @@ def test_acceptance_5_equivariance_and_invariance():
                            float(np.linalg.norm(U @ R - R @ U)))
 
     train = generate_dataset(n, None, 8, seed=ACCEPT_SEED)
-    exchanged = [SamplePair(s.x2, s.x1, s.label) for s in train.samples]
-    complemented = [SamplePair(1 - s.x1, 1 - s.x2, s.label)
-                    for s in train.samples]
+    exchanged = replace(train, X1=train.X2, X2=train.X1)
+    complemented = replace(train, X1=1 - train.X1, X2=1 - train.X2)
 
-    F = extract_feature_matrix(train.samples, pool)
-    y = stack_pairs(train.samples)[2]
+    F = extract_feature_matrix(train, pool)
+    y = train.y
     lasso = lasso_fit(F, y, feature_names=tuple(pool.names()))
     worst_m = 0.0
     for variant in (exchanged, complemented):
@@ -252,14 +253,14 @@ def test_acceptance_5_equivariance_and_invariance():
         worst_m = max(worst_m, float(np.max(np.abs(
             lasso_scores(lasso, Fv) - lasso_scores(lasso, F)))))
 
-    result = train_qnn_u(train.samples, pool, epochs=5, seed=ACCEPT_SEED)
+    result = train_qnn_u(train, pool, epochs=5, seed=ACCEPT_SEED)
     observable = pool.entry("swap")
 
-    def qnn_u_predictions(samples):
-        states = encode_pairs(samples, n)[0]
+    def qnn_u_predictions(pairs):
+        states = encode_pairs(pairs, n)[0]
         return model_eval(states, result.params, pool, spec, observable)
 
-    base = qnn_u_predictions(train.samples)
+    base = qnn_u_predictions(train)
     worst_u = 0.0
     for variant in (exchanged, complemented):
         worst_u = max(worst_u, float(np.max(np.abs(
@@ -303,7 +304,7 @@ def test_acceptance_6_numerical_cross_checks():
     # real loss; `swap` commutes with every generator (zero angle gradient),
     # the other readouts do not
     train = generate_dataset(n, None, 6, seed=3)
-    states, y = encode_pairs(train.samples, n)
+    states, y = encode_pairs(train, n)
     params = init_params(AnsatzSpec(), np.random.default_rng(7))
     grad_err = 0.0
     adjoint_err = 0.0
@@ -335,7 +336,7 @@ def test_acceptance_6_numerical_cross_checks():
     siam_rel = float(np.linalg.norm(fd - analytic) / np.linalg.norm(fd))
 
     # (d) LASSO objective monotone per sweep; (e) null solution at lam_max
-    Fm = extract_feature_matrix(train.samples, pool)
+    Fm = extract_feature_matrix(train, pool)
     fit = lasso_fit(Fm, y, lam=0.01)
     diffs = np.diff(fit.objective_history)
     max_rise = float(diffs.max()) if diffs.size else 0.0

@@ -306,13 +306,11 @@ def test_cnn_flat_after_stack():
 
 def separable_pairs(n, count, rng):
     """Pairs where label 0 means identical inputs, label 1 complements."""
-    from artifact.dataset import SamplePair
-    out = []
-    for _ in range(count):
-        x = rng.integers(0, 2, 2 ** n).astype(np.uint8)
-        out.append(SamplePair(x, x.copy(), 0))
-        out.append(SamplePair(x, (1 - x).astype(np.uint8), 1))
-    return out
+    from artifact.dataset import Dataset
+    X = np.repeat(rng.integers(0, 2, (count, 2 ** n)).astype(np.uint8), 2, 0)
+    X2 = X.copy()
+    X2[1::2] = 1 - X2[1::2]
+    return Dataset(X, X2, np.tile([0.0, 1.0], count), n, 1.0, 0)
 
 
 def test_training_reaches_perfect_accuracy_and_stops_early():
@@ -328,10 +326,10 @@ def test_training_reaches_perfect_accuracy_and_stops_early():
 def test_training_records_schema_and_determinism():
     ds = generate_dataset(n=4, epsilon=None, count_per_class=3, seed=31)
     te = generate_dataset(n=4, epsilon=None, count_per_class=3, seed=32)
-    r1 = train_siamese(ds.samples, MlpSpec(16), seed=1, epochs=40,
-                       test_samples=te.samples, record_every=10)
-    r2 = train_siamese(ds.samples, MlpSpec(16), seed=1, epochs=40,
-                       test_samples=te.samples, record_every=10)
+    r1 = train_siamese(ds, MlpSpec(16), seed=1, epochs=40, test_samples=te,
+                       record_every=10)
+    r2 = train_siamese(ds, MlpSpec(16), seed=1, epochs=40, test_samples=te,
+                       record_every=10)
     assert [rec.epoch for rec in r1.records] == [0, 10, 20, 30, 40]
     for a, b in zip(r1.records, r2.records):
         assert a == b  # test set present, so records contain no NaN
@@ -340,14 +338,14 @@ def test_training_records_schema_and_determinism():
 
 def test_training_loss_drops_on_real_data():
     ds = generate_dataset(n=4, epsilon=None, count_per_class=5, seed=41)
-    result = train_siamese(ds.samples, MlpSpec(16), seed=3, epochs=150)
+    result = train_siamese(ds, MlpSpec(16), seed=3, epochs=150)
     assert result.records[-1].train_loss < result.records[0].train_loss
     assert result.records[-1].train_acc >= 0.9
 
 
 def test_cnn_training_smoke():
     ds = generate_dataset(n=8, epsilon=None, count_per_class=2, seed=51)
-    result = train_siamese(ds.samples, cnn_spec_for(8), seed=5, epochs=10,
+    result = train_siamese(ds, cnn_spec_for(8), seed=5, epochs=10,
                            record_every=5)
     assert np.isfinite(result.records[-1].train_loss)
     assert [rec.epoch for rec in result.records] == [0, 5, 10]

@@ -17,7 +17,6 @@ from artifact.dataset import (
     sample_pair,
     save_dataset,
     sign_round,
-    stack_pairs,
     truncate,
 )
 from artifact.statevec import forrelation, fwht
@@ -157,16 +156,46 @@ def test_key_is_equal_exactly_when_both_barcodes_are():
     assert wide.key() not in set(keys)
 
 
-def test_stack_pairs_rows_and_labels():
+def test_dataset_rows_and_labels():
+    """The drawn pairs, in draw order, as uint8 rows and float labels;
+    iterating gives them back as pairs keyed by their row bytes."""
     ds = generate_dataset(n=3, epsilon=None, count_per_class=3, seed=4)
-    X1, X2, y = stack_pairs(ds.samples)
-    assert X1.shape == X2.shape == (6, 8)
-    assert X1.dtype == X2.dtype == np.uint8
-    assert y.dtype == float
-    for i, s in enumerate(ds.samples):
-        assert np.array_equal(X1[i], s.x1) and np.array_equal(X2[i], s.x2)
-        assert y[i] == s.label
-    assert list(y) == [0.0, 1.0] * 3
+    rng = np.random.default_rng(4)
+    drawn = [sample_pair(3, default_epsilon(3), correlated, rng)
+             for _ in range(3) for correlated in (True, False)]
+    assert ds.X1.shape == ds.X2.shape == (6, 8) and len(ds) == 6
+    assert ds.X1.dtype == ds.X2.dtype == np.uint8
+    assert ds.y.dtype == float
+    for i, (s, d) in enumerate(zip(ds, drawn, strict=True)):
+        assert np.array_equal(ds.X1[i], d.x1)
+        assert np.array_equal(ds.X2[i], d.x2)
+        assert ds.y[i] == d.label == s.label
+        assert s.key() == d.key() == ds.X1[i].tobytes() + ds.X2[i].tobytes()
+    assert list(ds.y) == [0.0, 1.0] * 3
+
+
+@pytest.mark.parametrize("M", [0, 1, 4, 6, 9])
+def test_prefix_is_the_first_pairs(M):
+    ds = generate_dataset(n=3, epsilon=None, count_per_class=3, seed=4)
+    head = ds[:M]
+    assert isinstance(head, Dataset) and len(head) == min(M, 6)
+    assert (head.n, head.epsilon, head.seed) == (ds.n, ds.epsilon, ds.seed)
+    assert [s.key() for s in head] == [s.key() for s in ds][:M]
+    for a, b in ((head.X1, ds.X1), (head.X2, ds.X2), (head.y, ds.y)):
+        assert np.array_equal(a, b[:M]) and a.dtype == b.dtype
+
+
+@pytest.mark.parametrize("field, shape", [
+    ("X1", (4, 8)), ("X2", (4, 8)), ("X1", (5, 4)), ("X2", (5,)),
+    ("y", (4,)), ("y", (5, 1)),
+])
+def test_dataset_rejects_mismatched_shapes(field, shape):
+    arrays = {"X1": np.zeros((5, 8), np.uint8),
+              "X2": np.zeros((5, 8), np.uint8), "y": np.zeros(5)}
+    Dataset(**arrays, n=3, epsilon=1.0, seed=0)
+    arrays[field] = np.zeros(shape, arrays[field].dtype)
+    with pytest.raises(ValueError):
+        Dataset(**arrays, n=3, epsilon=1.0, seed=0)
 
 
 def test_sample_pair_validates_parameters():
@@ -258,8 +287,8 @@ def test_pixel_marginals_unbiased():
 
 def test_generate_dataset_counts_and_interleaving():
     ds = generate_dataset(2, default_epsilon(2), 10, seed=1)
-    assert len(ds.samples) == 20
-    labels = [s.label for s in ds.samples]
+    assert len(ds) == 20
+    labels = [s.label for s in ds]
     assert labels == [0, 1] * 10  # correlated, uncorrelated, ...
     # any prefix is class-balanced to within one sample
     for k in range(1, 21):
@@ -270,13 +299,13 @@ def test_generate_dataset_counts_and_interleaving():
 def test_generate_dataset_deterministic():
     a = generate_dataset(3, 1.0, 5, seed=7)
     b = generate_dataset(3, 1.0, 5, seed=7)
-    for sa, sb in zip(a.samples, b.samples):
+    for sa, sb in zip(a, b):
         assert np.array_equal(sa.x1, sb.x1) and np.array_equal(sa.x2, sb.x2)
 
 
 def test_generate_dataset_test_split_size():
     ds = generate_dataset(5, default_epsilon(5), 40, seed=3)
-    assert len(ds.samples) == 80
+    assert len(ds) == 80
 
 
 def test_generate_dataset_validates_count():
@@ -294,8 +323,11 @@ def test_save_load_round_trip(tmp_path):
     loaded = load_dataset(path)
     assert loaded.n == ds.n and loaded.seed == ds.seed
     assert loaded.epsilon == pytest.approx(ds.epsilon)
-    assert len(loaded.samples) == len(ds.samples)
-    for sa, sb in zip(ds.samples, loaded.samples):
+    assert len(loaded) == len(ds)
+    for a, b in ((loaded.X1, ds.X1), (loaded.X2, ds.X2), (loaded.y, ds.y)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert loaded.X1.dtype == np.uint8
+    for sa, sb in zip(ds, loaded):
         assert np.array_equal(sa.x1, sb.x1)
         assert np.array_equal(sa.x2, sb.x2)
         assert sa.label == sb.label
@@ -386,4 +418,4 @@ def test_load_accepts_the_valid_template(tmp_path):
     path.write_text(json.dumps(VALID))
     ds = load_dataset(path)
     assert (ds.n, ds.epsilon, ds.seed) == (1, 0.5, 3)
-    assert isinstance(ds.seed, int) and ds.samples[0].label == 1
+    assert isinstance(ds.seed, int) and next(iter(ds)).label == 1

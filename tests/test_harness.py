@@ -168,12 +168,12 @@ def test_derive_seed_is_deterministic_and_distinct():
 
 def test_disjoint_test_never_repeats_training_pairs():
     train = generate_dataset(2, None, 5, seed=0)
-    keys = {s.key() for s in train.samples}
+    keys = {s.key() for s in train}
     test = _draw_disjoint_test(2, None, 10, seed=1, train_keys=keys,
                                rounding="sign", partner="encoded")
-    assert len(test.samples) == 20
-    assert all(s.key() not in keys for s in test.samples)
-    labels = [s.label for s in test.samples]
+    assert len(test) == 20
+    assert all(s.key() not in keys for s in test)
+    labels = [s.label for s in test]
     assert labels.count(0) == 10 and labels.count(1) == 10
 
 
@@ -395,7 +395,7 @@ def test_cli_gen_data_writes_dataset(tmp_path, capsys):
                  "--out", str(out)])
     assert code == 0
     ds = load_dataset(out)
-    assert ds.n == 3 and len(ds.samples) == 8
+    assert ds.n == 3 and len(ds) == 8
     assert "wrote 8 samples" in capsys.readouterr().out
 
 

@@ -1,9 +1,11 @@
 """Tests for pool-observable feature extraction and the LASSO fit."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from artifact.dataset import SamplePair, generate_dataset, stack_pairs
+from artifact.dataset import Dataset, generate_dataset
 from artifact.optim import accuracy
 from artifact.qnn_meas import (
     extract_feature_matrix,
@@ -20,11 +22,14 @@ def random_pairs(rng, n, count):
     """count random labelled pairs of n-qubit barcodes."""
     N = 2 ** n
     bits = rng.integers(0, 2, (count, 2, N)).astype(np.uint8)
-    return [SamplePair(x1, x2, int(rng.integers(0, 2))) for x1, x2 in bits]
+    y = np.array([rng.integers(0, 2) for _ in bits], dtype=float)
+    return Dataset(bits[:, 0], bits[:, 1], y, n, 1.0, 0)
 
 
 def feature_row(x1, x2, pool):
-    return extract_feature_matrix([SamplePair(x1, x2, 0)], pool)[0]
+    n = x1.size.bit_length() - 1
+    pair = Dataset(x1[None], x2[None], np.zeros(1), n, 1.0, 0)
+    return extract_feature_matrix(pair, pool)[0]
 
 
 # ------------------------------------------------------------ features
@@ -76,9 +81,8 @@ def test_feature_rows_invariant_under_exchange_and_complement():
         pool = build_pool(n)
         pairs = random_pairs(rng, n, 120)
         base = extract_feature_matrix(pairs, pool)
-        exchanged = [SamplePair(s.x2, s.x1, s.label) for s in pairs]
-        complemented = [SamplePair(1 - s.x1, 1 - s.x2, s.label)
-                        for s in pairs]
+        exchanged = replace(pairs, X1=pairs.X2, X2=pairs.X1)
+        complemented = replace(pairs, X1=1 - pairs.X1, X2=1 - pairs.X2)
         for variant in (exchanged, complemented):
             np.testing.assert_allclose(extract_feature_matrix(variant, pool),
                                        base, rtol=0, atol=1e-12)
@@ -96,9 +100,9 @@ def test_feature_matrix_shape_and_rows():
     one-pair matrix of that pair."""
     ds = generate_dataset(n=3, epsilon=None, count_per_class=4, seed=9)
     pool = build_pool(3)
-    F = extract_feature_matrix(ds.samples, pool)
+    F = extract_feature_matrix(ds, pool)
     assert F.shape == (8, 10)
-    for row, s in zip(F, ds.samples):
+    for row, s in zip(F, ds):
         np.testing.assert_allclose(row, feature_row(s.x1, s.x2, pool),
                                    rtol=1e-15, atol=1e-15)
 
@@ -202,10 +206,9 @@ def test_lasso_separates_encoded_pairs_at_n4():
     train = generate_dataset(n=4, epsilon=None, count_per_class=10, seed=101)
     test = generate_dataset(n=4, epsilon=None, count_per_class=40, seed=202)
     pool = build_pool(4)
-    Ftr = extract_feature_matrix(train.samples, pool)
-    Fte = extract_feature_matrix(test.samples, pool)
-    y_train = stack_pairs(train.samples)[2]
-    y_test = stack_pairs(test.samples)[2]
+    Ftr = extract_feature_matrix(train, pool)
+    Fte = extract_feature_matrix(test, pool)
+    y_train, y_test = train.y, test.y
     model = lasso_fit(Ftr, y_train, feature_names=tuple(pool.names()))
     assert model.converged
     train_acc = accuracy(lasso_scores(model, Ftr), y_train)

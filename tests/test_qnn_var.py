@@ -8,7 +8,7 @@ import scipy.linalg
 
 import oracles
 from artifact import qnn_var
-from artifact.dataset import SamplePair, generate_dataset
+from artifact.dataset import Dataset, generate_dataset
 from artifact.optim import adam_step
 from artifact.qnn_var import (
     AnsatzSpec,
@@ -180,20 +180,20 @@ def test_parameter_shift_matches_finite_differences():
 
 def test_encode_pairs_equals_the_kronecker_product_bit_for_bit():
     ds = generate_dataset(n=3, epsilon=None, count_per_class=4, seed=12)
-    states, y = encode_pairs(ds.samples, 3)
+    states, y = encode_pairs(ds, 3)
     assert states.shape == (64, 8) and states.dtype == complex
-    for col, s in zip(states.T, ds.samples):
+    for col, s in zip(states.T, ds):
         np.testing.assert_array_equal(
             col, product_state(phase_state(s.x1), phase_state(s.x2)))
-    np.testing.assert_array_equal(y, [s.label for s in ds.samples])
+    np.testing.assert_array_equal(y, [s.label for s in ds])
     with pytest.raises(ValueError, match="register size"):
-        encode_pairs(ds.samples, 4)
+        encode_pairs(ds, 4)
 
 
 def test_loss_gradient_methods_agree():
     rng = np.random.default_rng(7)
     ds = generate_dataset(n=N_CHECK, epsilon=None, count_per_class=4, seed=12)
-    states, y = encode_pairs(ds.samples, N_CHECK)
+    states, y = encode_pairs(ds, N_CHECK)
     spec = AnsatzSpec(layers=2)
     params = QnnUParams(rng.uniform(-0.5, 0.5, spec.param_count()), 1.3, -0.2)
     for name in READOUTS:
@@ -216,7 +216,7 @@ def test_loss_gradient_methods_agree():
 def test_adjoint_matches_parameter_shift_at_n4():
     rng = np.random.default_rng(14)
     ds = generate_dataset(n=4, epsilon=None, count_per_class=3, seed=4)
-    states, y = encode_pairs(ds.samples, 4)
+    states, y = encode_pairs(ds, 4)
     spec = AnsatzSpec(layers=1)
     params = QnnUParams(rng.uniform(-1, 1, spec.param_count()), 0.8, 0.3)
     for name in READOUTS:
@@ -251,7 +251,7 @@ def test_swap_readout_angle_gradient_vanishes():
 def test_pruned_circuit_matches_full_circuit(pool, name):
     rng = np.random.default_rng(16)
     ds = generate_dataset(n=pool.n, epsilon=None, count_per_class=3, seed=6)
-    states, y = encode_pairs(ds.samples, pool.n)
+    states, y = encode_pairs(ds, pool.n)
     spec = AnsatzSpec()
     params = QnnUParams(rng.uniform(-1, 1, spec.param_count()), 1.2, -0.1)
     obs = pool.entry(name)
@@ -280,7 +280,7 @@ def test_readout_applied_once_matches_the_two_readout_oracle(pool, name,
                                                               pruned):
     rng = np.random.default_rng(17)
     ds = generate_dataset(n=pool.n, epsilon=None, count_per_class=3, seed=7)
-    states, y = encode_pairs(ds.samples, pool.n)
+    states, y = encode_pairs(ds, pool.n)
     spec = AnsatzSpec()
     params = QnnUParams(rng.uniform(-1, 1, spec.param_count()), 1.3, -0.2)
     obs = pool.entry(name)
@@ -319,11 +319,11 @@ def train_pruned_and_full(monkeypatch, observable_name):
     ds = generate_dataset(n=3, epsilon=None, count_per_class=4, seed=23)
     test = generate_dataset(n=3, epsilon=None, count_per_class=4, seed=24)
     kwargs = dict(observable_name=observable_name, epochs=20, seed=5,
-                  test_samples=test.samples, record_every=5)
-    pruned = train_qnn_u(ds.samples, POOL3, **kwargs)
+                  test_samples=test, record_every=5)
+    pruned = train_qnn_u(ds, POOL3, **kwargs)
     with monkeypatch.context() as m:
         m.setattr(qnn_var, "pruned_blocks", lambda *args: 0)
-        full = train_qnn_u(ds.samples, POOL3, **kwargs)
+        full = train_qnn_u(ds, POOL3, **kwargs)
     assert full.pruned_blocks == 0
     assert len(pruned.records) == len(full.records)
     for a, b in zip(pruned.records, full.records):
@@ -351,7 +351,7 @@ def test_partly_pruned_training_matches_full_circuit(monkeypatch):
 def test_analytic_head_gradients():
     rng = np.random.default_rng(8)
     ds = generate_dataset(n=N_CHECK, epsilon=None, count_per_class=3, seed=5)
-    states, y = encode_pairs(ds.samples, N_CHECK)
+    states, y = encode_pairs(ds, N_CHECK)
     spec = AnsatzSpec(layers=1)
     params = QnnUParams(rng.uniform(-0.5, 0.5, spec.param_count()), 0.7, 0.1)
     obs = POOL2.entry("swap")
@@ -404,7 +404,7 @@ def test_adam_state_advances():
 
 def test_zero_learning_rate_keeps_model_constant():
     ds = generate_dataset(n=N_CHECK, epsilon=None, count_per_class=3, seed=3)
-    result = train_qnn_u(ds.samples, POOL2, epochs=5, lr=0.0, seed=9)
+    result = train_qnn_u(ds, POOL2, epochs=5, lr=0.0, seed=9)
     losses = [r.train_loss for r in result.records]
     assert max(losses) - min(losses) <= 1e-12
 
@@ -412,8 +412,8 @@ def test_zero_learning_rate_keeps_model_constant():
 def test_training_records_and_loss_decrease():
     ds = generate_dataset(n=N_CHECK, epsilon=None, count_per_class=5, seed=21)
     test = generate_dataset(n=N_CHECK, epsilon=None, count_per_class=5, seed=22)
-    result = train_qnn_u(ds.samples, POOL2, epochs=30, lr=0.1, seed=2,
-                         test_samples=test.samples, record_every=10)
+    result = train_qnn_u(ds, POOL2, epochs=30, lr=0.1, seed=2,
+                         test_samples=test, record_every=10)
     epochs = [r.epoch for r in result.records]
     assert epochs == [0, 10, 20, 30]
     assert result.records[-1].train_loss < result.records[0].train_loss
@@ -422,8 +422,8 @@ def test_training_records_and_loss_decrease():
 
 def test_training_is_deterministic_given_seed():
     ds = generate_dataset(n=N_CHECK, epsilon=None, count_per_class=3, seed=7)
-    r1 = train_qnn_u(ds.samples, POOL2, epochs=5, seed=13)
-    r2 = train_qnn_u(ds.samples, POOL2, epochs=5, seed=13)
+    r1 = train_qnn_u(ds, POOL2, epochs=5, seed=13)
+    r2 = train_qnn_u(ds, POOL2, epochs=5, seed=13)
     np.testing.assert_array_equal(r1.params.thetas, r2.params.thetas)
     for a, b in zip(r1.records, r2.records):
         assert a.epoch == b.epoch
@@ -446,7 +446,7 @@ def test_predictions_invariant_under_input_exchange(readout):
     pruned = ansatz_factors(POOL3, spec, spec.param_count()
                             - pruned_blocks(POOL3, spec, obs))
     X1, X2 = rng.integers(0, 2, (2, 100, 8), dtype=np.uint8)
-    variants = [[SamplePair(a, b, 0) for a, b in zip(P, Q)]
+    variants = [Dataset(P, Q, np.zeros(len(P)), 3, 1.0, 0)
                 for P, Q in ((X1, X2), (X2, X1), (1 - X1, 1 - X2))]
     for factors in (None, pruned):
         base, exchanged, complemented = (
