@@ -79,7 +79,11 @@ def derive_seed(master_seed: int, *parts) -> int:
 
 def _draw_disjoint_test(n, epsilon, per_class, seed, train_keys, rounding,
                         partner) -> Dataset:
-    """Fresh test split whose bitstring pairs avoid the training pool."""
+    """Fresh test split whose bitstring pairs avoid the training pool.
+
+    Raises ConfigError when 1000 draws in a row for one test pair all land
+    in the training pool: at small n the pool can cover nearly every pair
+    of a class."""
     if epsilon is None:
         epsilon = default_epsilon(n)
     rng = np.random.default_rng(seed)
@@ -92,8 +96,11 @@ def _draw_disjoint_test(n, epsilon, per_class, seed, train_keys, rounding,
                     samples.append(s)
                     break
             else:
-                raise RuntimeError("could not draw a test sample disjoint "
-                                   "from the training pool")
+                raise ConfigError(
+                    f"cannot draw a test split (test_per_class={per_class}) "
+                    f"at n={n} disjoint from a training pool of "
+                    f"{len(train_keys)} distinct pairs; lower test_per_class "
+                    "or per_class_counts")
     return Dataset.from_pairs(samples, n, epsilon, seed)
 
 

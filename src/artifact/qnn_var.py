@@ -28,7 +28,11 @@ run's register size) and simulates only the rest; the dropped angles get
 gradient exactly 0 and keep their initial values. The default `swap`
 readout commutes with every generator, so no block is simulated and
 training moves only the readout scale and offset (a, b). This is the limit
-of a unitary parametrization that the `fig3` comparison shows.
+of a unitary parametrization that the `fig3` comparison shows. With no
+live block, <O> of the train and test states is a constant of the call:
+train_qnn_u computes it once, and each epoch applies only the affine
+readout, its MSE and the (a, b) gradients (readout_loss, the arithmetic
+loss_and_gradient also uses), which gives the per-epoch route's bits.
 """
 
 from __future__ import annotations
@@ -181,6 +185,15 @@ def adjoint_angle_gradient(phi: np.ndarray, lam: np.ndarray,
     return grad
 
 
+def readout_loss(h: np.ndarray, y: np.ndarray, a, b):
+    """(loss, grad_a, grad_b, preds, dz) of the affine readout
+    preds = a h + b under the MSE against y, with dz = dL/dpreds."""
+    preds = a * h + b
+    dz = 2.0 * (preds - y) / y.size
+    return (mse_loss(preds, y), float(np.dot(dz, h)), float(np.sum(dz)),
+            preds, dz)
+
+
 def loss_and_gradient(states: np.ndarray, labels: np.ndarray,
                       params: QnnUParams, pool: OperatorPool,
                       spec: AnsatzSpec, observable: PoolEntry, factors=None):
@@ -196,12 +209,10 @@ def loss_and_gradient(states: np.ndarray, labels: np.ndarray,
     phi = apply_ansatz(states, params.thetas, pool, spec, factors)
     o_phi = apply_observable(phi, observable.expr, pool.n)
     h = expectation_from(phi, o_phi, observable.expr)
-    preds = params.a * h + params.b
-    dz = 2.0 * (preds - y) / y.size  # dL/dpreds
+    loss, grad_a, grad_b, preds, dz = readout_loss(h, y, params.a, params.b)
     lam = o_phi * (params.a * dz)
     gt = adjoint_angle_gradient(phi, lam, params.thetas, factors, pool.n)
-    return (mse_loss(preds, y), gt, float(np.dot(dz, h)), float(np.sum(dz)),
-            preds)
+    return loss, gt, grad_a, grad_b, preds
 
 
 def train_qnn_u(train_samples, pool: OperatorPool, spec: AnsatzSpec = None,
@@ -229,16 +240,33 @@ def train_qnn_u(train_samples, pool: OperatorPool, spec: AnsatzSpec = None,
     if test_samples is not None:
         test_states, y_test = encode_pairs(test_samples, pool.n)
 
-    def loss_and_grad():
-        loss, g_thetas[:], g_a[...], g_b[...], preds = loss_and_gradient(
-            states, y, live, pool, spec, observable, factors=factors)
-        return loss, preds
+    if factors:
+        def loss_and_grad():
+            loss, g_thetas[:], g_a[...], g_b[...], preds = loss_and_gradient(
+                states, y, live, pool, spec, observable, factors=factors)
+            return loss, preds
+
+        def test_preds():
+            return model_eval(test_states, live, pool, spec, observable,
+                              factors)
+    else:
+        # no live block: <O> of the encoded states is a constant of the
+        # call, and the angle gradients stay the zeros lay_out gave
+        h = expectation_batch(states, observable.expr, pool.n)
+        if test_samples is not None:
+            h_test = expectation_batch(test_states, observable.expr, pool.n)
+
+        def loss_and_grad():
+            loss, g_a[...], g_b[...], preds, _ = readout_loss(h, y, a, b)
+            return loss, preds
+
+        def test_preds():
+            return a * h_test + b
 
     def test_acc():
         if test_samples is None:
             return float("nan")
-        return accuracy(model_eval(test_states, live, pool, spec, observable,
-                                   factors), y_test)
+        return accuracy(test_preds(), y_test)
 
     records, _ = fit(params, grads, loss_and_grad, y, test_acc, epochs, lr,
                      record_every)

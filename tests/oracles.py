@@ -14,7 +14,9 @@ reference backward also computes the unused input gradient. Adam's
 reference is the per-tensor update that optim.adam_step does in place on
 one flat vector. The staged Walsh-Hadamard transform copies both halves
 at every butterfly stage, and the two-readout qnn_u gradient applies the
-readout once for <O> and once more for the adjoint seed.
+readout once for <O> and once more for the adjoint seed. The per-epoch
+qnn_u training runs loss_and_gradient and model_eval at every epoch even
+when no block is live, where train_qnn_u computes <O> once per call.
 """
 
 from __future__ import annotations
@@ -24,13 +26,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from artifact.optim import accuracy, fit, lay_out
 from artifact.qnn_meas import standardize
 from artifact.qnn_var import (
+    AnsatzSpec,
+    QnnUParams,
     adjoint_angle_gradient,
     ansatz_factors,
     apply_ansatz,
+    encode_pairs,
     generator_entries,
+    init_params,
+    loss_and_gradient,
+    model_eval,
     mse_loss,
+    pruned_blocks,
 )
 from artifact.statevec import (
     apply_observable,
@@ -152,6 +162,39 @@ def two_readout_loss_and_gradient(states, labels, params, pool, spec,
     gt = adjoint_angle_gradient(phi, lam, params.thetas, factors, pool.n)
     return (mse_loss(preds, y), gt, float(np.dot(dz, h)), float(np.sum(dz)),
             preds)
+
+
+def per_epoch_train_qnn_u(train_samples, pool, observable_name, epochs,
+                          lr, seed, test_samples=None, record_every=1):
+    """qnn_var.train_qnn_u with every epoch through loss_and_gradient and
+    every recorded test accuracy through model_eval, on the factors left
+    after pruning (none when every block commutes with the readout);
+    returns (records, thetas, a, b)."""
+    spec = AnsatzSpec()
+    observable = pool.entry(observable_name)
+    factors = ansatz_factors(pool, spec, spec.param_count()
+                             - pruned_blocks(pool, spec, observable))
+    init = init_params(spec, np.random.default_rng(seed))
+    params, grads, (thetas, a, b), (g_thetas, g_a, g_b) = lay_out(
+        [init.thetas, init.a, init.b])
+    live = QnnUParams(thetas, a, b)
+    states, y = encode_pairs(train_samples, pool.n)
+
+    def loss_and_grad():
+        loss, g_thetas[:], g_a[...], g_b[...], preds = loss_and_gradient(
+            states, y, live, pool, spec, observable, factors=factors)
+        return loss, preds
+
+    def test_acc():
+        if test_samples is None:
+            return float("nan")
+        test_states, y_test = encode_pairs(test_samples, pool.n)
+        return accuracy(model_eval(test_states, live, pool, spec, observable,
+                                   factors), y_test)
+
+    records, _ = fit(params, grads, loss_and_grad, y, test_acc, epochs, lr,
+                     record_every)
+    return records, thetas, float(a), float(b)
 
 
 def structured_features(x1, x2, pool):

@@ -177,6 +177,30 @@ def test_disjoint_test_never_repeats_training_pairs():
     assert labels.count(0) == 10 and labels.count(1) == 10
 
 
+IMPOSSIBLE_SPLIT = {"experiment": "fig3", "n": 2, "trials": 1,
+                    "per_class_counts": [500], "test_per_class": 40,
+                    "models": ["qnn_m"]}
+
+
+def test_impossible_disjoint_test_split_is_a_config_error():
+    fields = {k: v for k, v in IMPOSSIBLE_SPLIT.items() if k != "experiment"}
+    with pytest.raises(ConfigError, match=r"test_per_class=40\) at n=2 .* "
+                                          r"training pool of \d+ distinct"):
+        run_experiment(make_config("fig3", **fields))
+
+
+def test_cli_run_exits_1_on_an_impossible_disjoint_test_split(tmp_path,
+                                                              capsys):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "x.csv"
+    cfg.write_text(json.dumps(IMPOSSIBLE_SPLIT))
+    code = main(["run", "--experiment", "fig3", "--config", str(cfg),
+                 "--out", str(out)])
+    assert code == 1
+    assert "test_per_class=40" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- CSV
 
 

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 import oracles
-from artifact import qnn_var
+from artifact import qnn_var, statevec
 from artifact.dataset import Dataset, generate_dataset
 from artifact.optim import adam_step
 from artifact.qnn_var import (
@@ -33,6 +33,7 @@ from artifact.symmetry import build_pool, complement_rep, exchange_rep
 from oracles import (
     apply_exp_generator,
     fd_angle_gradient,
+    per_epoch_train_qnn_u,
     reference_ansatz,
     reference_h,
     shift_angle_gradient,
@@ -346,6 +347,54 @@ def test_partly_pruned_training_matches_full_circuit(monkeypatch):
     assert pruned.pruned_blocks == 1
     assert pruned.params.thetas[-1] == init[-1]
     assert np.all(pruned.params.thetas[:-1] != init[:-1])
+
+
+@pytest.mark.parametrize("epochs, record_every", [(0, 1), (0, 7), (20, 1),
+                                                  (20, 7)])
+@pytest.mark.parametrize("with_test", [True, False], ids=["test", "no-test"])
+@pytest.mark.parametrize("pool, name", [(POOL2, "swap"), (POOL3, "swap"),
+                                        (POOL4, "swap"), (POOL2, "sum_yy")],
+                         ids=["swap-n2", "swap-n3", "swap-n4", "sum_yy-n2"])
+def test_fully_pruned_training_matches_the_per_epoch_route(
+        pool, name, with_test, epochs, record_every):
+    """With no live block, train_qnn_u computes <O> once per call; its
+    records, angles and readout must be the per-epoch route's bits."""
+    assert pruned_blocks(pool, AnsatzSpec(), pool.entry(name)) == 12
+    ds = generate_dataset(n=pool.n, epsilon=None, count_per_class=4, seed=31)
+    test = (generate_dataset(n=pool.n, epsilon=None, count_per_class=3,
+                             seed=32) if with_test else None)
+    got = train_qnn_u(ds, pool, observable_name=name, epochs=epochs, seed=4,
+                      test_samples=test, record_every=record_every)
+    records, thetas, a, b = per_epoch_train_qnn_u(
+        ds, pool, name, epochs, qnn_var.DEFAULT_LR, 4, test, record_every)
+    assert repr(got.records) == repr(records)  # repr: nan equals nan
+    assert got.params.thetas.tobytes() == thetas.tobytes()
+    assert (got.params.a, got.params.b) == (a, b)
+
+
+def count_observable_calls(monkeypatch, observable_name, epochs):
+    """apply_observable calls, under qnn_var's name or statevec's (where
+    expectation_batch finds it), in one n = 3 training with a test split."""
+    ds = generate_dataset(n=3, epsilon=None, count_per_class=4, seed=23)
+    test = generate_dataset(n=3, epsilon=None, count_per_class=4, seed=24)
+    calls = []
+    with monkeypatch.context() as m:
+        for module in (qnn_var, statevec):
+            def counted(*args, _original=module.apply_observable, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+            m.setattr(module, "apply_observable", counted)
+        train_qnn_u(ds, POOL3, observable_name=observable_name,
+                    epochs=epochs, seed=5, test_samples=test, record_every=5)
+    return len(calls)
+
+
+def test_fully_pruned_training_applies_the_readout_once_per_call(monkeypatch):
+    swap = [count_observable_calls(monkeypatch, "swap", e) for e in (5, 50)]
+    assert swap[0] == swap[1]
+    sum_zz = [count_observable_calls(monkeypatch, "sum_zz", e)
+              for e in (5, 50)]
+    assert sum_zz[1] > sum_zz[0]
 
 
 def test_analytic_head_gradients():
