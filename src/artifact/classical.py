@@ -21,11 +21,14 @@ most 300 epochs, stopping early once training accuracy is perfect and at
 least 50 epochs have elapsed.
 
 Each train_siamese call builds its encoder inputs once (encoder.prepare:
-the CNN's first-layer im2col columns, which depend on the images alone).
-The test split is evaluated with cache=False: no backward caches, and the
-CNN pools by a maximum over the four strided views of each 2x2 block and
-runs its conv/pool stack EVAL_BLOCK images at a time. In training, each
-pool's routing mask also carries the preceding ReLU's derivative.
+the CNN's first-layer im2col columns, which depend on the images alone,
+kept in the barcodes' own dtype, uint8 for a Dataset; the training columns
+are cast to float once per call). The test split is evaluated with
+cache=False: no backward caches, and the CNN pools by a maximum over the
+four strided views of each 2x2 block and runs its conv/pool stack
+EVAL_BLOCK images at a time, casting each block's columns to float just
+before the first conv multiplies them. In training, each pool's routing
+mask also carries the preceding ReLU's derivative.
 """
 
 from __future__ import annotations
@@ -236,8 +239,10 @@ class CnnEncoder:
 
     def prepare(self, X):
         """First-layer im2col columns (M, Ho, Wo, k*k) of (M, side*side)
-        barcodes; columns already prepared pass through unchanged."""
-        X, s = np.asarray(X, dtype=float), self.spec.side
+        barcodes, in the barcodes' own dtype (uint8 rows give uint8
+        columns, 1/8 of the float bytes); columns already prepared pass
+        through unchanged."""
+        X, s = np.asarray(X), self.spec.side
         if X.ndim == 4:
             return X
         if X.shape[-1] != s * s:
@@ -246,8 +251,11 @@ class CnnEncoder:
         return _im2col(X.reshape(-1, s, s, 1), self.spec.kernel)
 
     def _conv_stack(self, cols1, pool):
-        """Both conv/ReLU/pool layers: p2 and (mask1, cache2, mask2)."""
+        """Both conv/ReLU/pool layers on float columns: p2 and (cache1,
+        mask1, cache2, mask2). Columns of another dtype are cast here, an
+        exact cast for the 0/1 pixels."""
         W1, b1, W2, b2 = self.tensors[:4]
+        cols1 = cols1.astype(float, copy=False)
         a1 = cols1 @ W1.reshape(-1, b1.size)
         a1 += b1
         np.maximum(a1, 0.0, out=a1)
@@ -255,13 +263,14 @@ class CnnEncoder:
         a2, cache2 = _conv_forward(p1, W2, b2)
         np.maximum(a2, 0.0, out=a2)
         p2, mask2 = pool(a2)
-        return p2, (mask1, cache2, mask2)
+        return p2, ((None, cols1), mask1, cache2, mask2)
 
     def forward(self, X, cache=True):
         """Embeddings and the backward cache. With cache=False (evaluation)
         the conv/pool stack runs EVAL_BLOCK images at a time, so each
         block's activations stay in cache, and the pools route nothing;
-        the dense layer runs once over all rows either way."""
+        the dense layer runs once over all rows either way, and each
+        block is cast to float just before it is multiplied."""
         Wd, bd = self.tensors[4:]
         cols1 = self.prepare(X)
         if cache:
@@ -274,7 +283,7 @@ class CnnEncoder:
         emb = flat @ Wd + bd
         if not cache:
             return emb, None
-        return emb, ((None, cols1), *caches, p2.shape, flat)
+        return emb, (*caches, p2.shape, flat)
 
     def backward(self, cache, g_emb, grads):
         """Accumulate into grads, laid out like tensors."""
@@ -363,8 +372,10 @@ def train_siamese(train_samples, spec, seed: int = 0,
     records the pre-training baseline."""
     model = SiameseModel(spec, np.random.default_rng(seed))
     prepare = model.encoder.prepare
-    X1, X2, y = (prepare(train_samples.X1), prepare(train_samples.X2),
-                 train_samples.y)
+    # every epoch reads the training inputs, so they are cast to float once
+    X1, X2 = (prepare(X).astype(float, copy=False)
+              for X in (train_samples.X1, train_samples.X2))
+    y = train_samples.y
     if test_samples is not None:
         tX1, tX2 = prepare(test_samples.X1), prepare(test_samples.X2)
 

@@ -22,7 +22,13 @@ import traceback
 from dataclasses import replace
 from pathlib import Path
 
-from .config import EXPERIMENTS, ConfigError, load_config, make_config
+from .config import (
+    EXPERIMENTS,
+    ConfigError,
+    check_array_bytes,
+    load_config,
+    make_config,
+)
 from .dataset import generate_dataset, save_dataset
 from .harness import (
     emit_csv,
@@ -94,6 +100,7 @@ def _cmd_gen_data(args) -> int:
         raise ConfigError("--n must be >= 2")
     if args.per_class < 1:
         raise ConfigError("--per-class must be >= 1")
+    check_array_bytes(args.n, "gen-data", 2 * args.per_class)
     ds = generate_dataset(args.n, args.epsilon, args.per_class, args.seed)
     save_dataset(ds, args.out)
     print(f"wrote {len(ds)} samples (n={ds.n}, "

@@ -8,6 +8,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 
+from .classical import DEFAULT_WIDTHS
 from .dataset import (
     DEFAULT_PARTNER,
     DEFAULT_ROUNDING,
@@ -18,6 +19,10 @@ from .qnn_meas import DEFAULT_LAMBDA
 
 EXPERIMENTS = ("fig3", "fig4", "fig5", "oracle")
 KNOWN_MODELS = ("qnn_m", "qnn_u", "dnn", "cnn")
+# The largest single array a run may ask for, in bytes. A run's peak memory
+# is a small multiple of its largest array, so a config past this cap fails
+# when it is made (exit 1) instead of on an allocation mid-run (exit 2).
+MAX_ARRAY_BYTES = 2 ** 30
 
 
 class ConfigError(ValueError):
@@ -117,6 +122,25 @@ def load_config(path) -> ExperimentConfig:
     return make_config(experiment, **raw)
 
 
+def check_array_bytes(n: int, model: str, rows: int) -> None:
+    """Raise ConfigError when the largest array that `model` allocates at
+    register size n, on splits of at most `rows` pairs, passes
+    MAX_ARRAY_BYTES. Counted: the float barcode rows every model builds
+    (rows x 2**n float64), dnn's first-layer weights (2**n x 128 float64)
+    and qnn_u's encoded states (rows x 4**n complex128, which its pruned
+    route builds too)."""
+    N = 2 ** n
+    need = rows * N * 8
+    if model == "dnn":
+        need = max(need, N * DEFAULT_WIDTHS[0] * 8)
+    elif model == "qnn_u":
+        need = max(need, rows * N * N * 16)
+    if need > MAX_ARRAY_BYTES:
+        raise ConfigError(f"n={n} is too large for {model}: its largest "
+                          f"array would take {need:,} bytes, over the "
+                          f"{MAX_ARRAY_BYTES:,}-byte cap (MAX_ARRAY_BYTES)")
+
+
 def _validate_config(c: ExperimentConfig) -> None:
     # a field the experiment would ignore is an error, not a no-op
     if c.experiment == "oracle":
@@ -146,6 +170,13 @@ def _validate_config(c: ExperimentConfig) -> None:
         if getattr(c, name) not in modes:
             raise ConfigError(f"unknown {name} mode {getattr(c, name)!r}; "
                               f"expected one of {', '.join(modes)}")
+    if c.experiment == "oracle":  # it draws and checks one pair at a time
+        check_array_bytes(c.n, "the oracle report", 1)
+        return
+    rows = 2 * max(max(c.per_class_counts), c.test_per_class)
+    for n in (c.sweep_n if c.experiment == "fig5" else (c.n,)):
+        for model in c.models:
+            check_array_bytes(n, model, rows)
 
 
 def _validate_figure(c: ExperimentConfig) -> None:

@@ -1,5 +1,7 @@
 """Tests for the Siamese baselines: backprop correctness and training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -349,3 +351,72 @@ def test_cnn_training_smoke():
                            record_every=5)
     assert np.isfinite(result.records[-1].train_loss)
     assert [rec.epoch for rec in result.records] == [0, 5, 10]
+
+
+# ------------------------------------------------- byte-sized CNN columns
+
+
+def float_columns(encoder, X):
+    """First-layer columns built from the barcodes as float64, the route
+    that the byte-sized columns must reproduce."""
+    s = encoder.spec.side
+    return _im2col(np.asarray(X, dtype=float).reshape(-1, s, s, 1),
+                   encoder.spec.kernel)
+
+
+def test_prepare_keeps_the_barcode_dtype():
+    """uint8 barcodes give uint8 columns, 1/8 of the float bytes; float and
+    int64 barcodes are never narrowed."""
+    encoder = CnnEncoder(cnn_spec_for(10), np.random.default_rng(13))
+    X = np.random.default_rng(14).integers(0, 2, (5, 1024)).astype(np.uint8)
+    cols = encoder.prepare(X)
+    assert cols.dtype == np.uint8
+    assert cols.shape == (5, 30, 30, 9)
+    assert cols.nbytes == 5 * 900 * 9
+    assert np.array_equal(cols, float_columns(encoder, X))
+    for dtype in (np.float64, np.int64):
+        assert encoder.prepare(X.astype(dtype)).dtype == dtype
+    assert encoder.prepare(cols) is cols
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.float64],
+                         ids=["uint8", "float"])
+@pytest.mark.parametrize("n", [8, 10])
+@pytest.mark.parametrize("M", [1, EVAL_BLOCK - 1, EVAL_BLOCK + 1, 23, 80])
+def test_byte_columns_match_the_float_column_route(dtype, n, M):
+    """The training loss, gradients and predictions, and the cache-free
+    predictions, are the float-column route's bytes: a cast of 0/1 pixels
+    is exact, and each block is cast before it is multiplied."""
+    rng = np.random.default_rng(100 * n + M)
+    model = SiameseModel(cnn_spec_for(n), rng)
+    X1, X2 = (rng.integers(0, 2, (M, 2 ** n)).astype(dtype) for _ in range(2))
+    y = rng.integers(0, 2, M).astype(float)
+    F1, F2 = (float_columns(model.encoder, X) for X in (X1, X2))
+    loss, p, grads = model.loss_and_gradients(X1, X2, y)
+    grads = grads.copy()
+    ref_loss, ref_p, ref_grads = model.loss_and_gradients(F1, F2, y)
+    assert loss == ref_loss
+    assert p.tobytes() == ref_p.tobytes()
+    assert grads.tobytes() == ref_grads.tobytes()
+    prepare = model.encoder.prepare
+    p_eval = model.forward(prepare(X1), prepare(X2), cache=False)[0]
+    ref_eval = model.forward(F1, F2, cache=False)[0]
+    assert p_eval.tobytes() == ref_eval.tobytes()
+
+
+# the traced peak of train_siamese at side 32 with 20 training and 80 test
+# pairs: about 11.4 MB with uint8 test columns, 20.4 MB with float64 ones
+CNN_TRAIN_PEAK_BYTES = 14_000_000
+
+
+def test_cnn_training_peak_memory():
+    train = generate_dataset(n=10, epsilon=None, count_per_class=10, seed=71)
+    test = generate_dataset(n=10, epsilon=None, count_per_class=40, seed=72)
+    tracemalloc.start()
+    try:
+        train_siamese(train, cnn_spec_for(10), seed=3, epochs=2,
+                      test_samples=test)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < CNN_TRAIN_PEAK_BYTES, f"traced peak {peak:,} bytes"

@@ -1,15 +1,22 @@
 """Harness and CLI contract tests: configs, seeding, splits, CSV, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from artifact.cli import main
-from artifact.config import ConfigError, load_config, make_config
+from artifact.config import (
+    MAX_ARRAY_BYTES,
+    ConfigError,
+    load_config,
+    make_config,
+)
 from artifact.dataset import generate_dataset, load_dataset
 from artifact.harness import (
     CSV_HEADER,
@@ -198,6 +205,70 @@ def test_cli_run_exits_1_on_an_impossible_disjoint_test_split(tmp_path,
                  "--out", str(out)])
     assert code == 1
     assert "test_per_class=40" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_arrays_past_the_cap_are_rejected():
+    """Each counted array can set the bound: the float barcode rows, dnn's
+    first-layer weights and qnn_u's encoded states."""
+    assert MAX_ARRAY_BYTES == 2 ** 30
+    make_config("fig3", n=9, models=("qnn_u",))  # 335,544,320 bytes
+    with pytest.raises(ConfigError, match=r"n=10 is too large for qnn_u: "
+                                          r".* 1,342,177,280 bytes"):
+        make_config("fig3", n=10, models=("qnn_m", "qnn_u"))
+    small = dict(sweep_n=(21,), per_class_counts=(1,), test_per_class=1)
+    make_config("fig5", models=("qnn_m",), **small)  # 33,554,432 bytes
+    with pytest.raises(ConfigError, match=r"n=21 is too large for dnn: "
+                                          r".* 2,147,483,648 bytes"):
+        make_config("fig5", models=("qnn_m", "dnn"), **small)
+    with pytest.raises(ConfigError, match="n=30 is too large for qnn_m"):
+        make_config("fig5", sweep_n=(4, 30))
+    with pytest.raises(ConfigError, match="n=40 is too large for the oracle"):
+        make_config("oracle", n=40)
+
+
+# an address-space cap for a child process: room for the interpreter and
+# numpy, and far below the arrays an oversized n would ask for
+CHILD_ADDRESS_SPACE = 2 ** 31
+CAPPED_MAIN = ("import resource, sys\n"
+               "resource.setrlimit(resource.RLIMIT_AS, ({0}, {0}))\n"
+               "from artifact.cli import main\n"
+               "sys.exit(main(sys.argv[1:]))\n").format(CHILD_ADDRESS_SPACE)
+
+
+def run_capped_cli(*argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", CAPPED_MAIN, *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("n", [40, 64])
+def test_cli_run_exits_1_on_an_oversized_n_in_a_capped_child(tmp_path, n):
+    """Without the check, n=40 asks the sampler for an 8 TiB array (exit 2)
+    and n=64 fails in numpy with a message that names no field."""
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "x.csv"
+    cfg.write_text(json.dumps({"experiment": "fig3", "n": n, "trials": 1,
+                               "models": ["qnn_m"]}))
+    proc = run_capped_cli("run", "--experiment", "fig3", "--config",
+                          str(cfg), "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert f"error: n={n} is too large for qnn_m" in proc.stderr
+    assert "bytes, over the 1,073,741,824-byte cap" in proc.stderr
+    assert not out.exists()
+
+
+def test_cli_gen_data_exits_1_on_an_oversized_n_in_a_capped_child(tmp_path):
+    out = tmp_path / "d.json"
+    proc = run_capped_cli("gen-data", "--n", "40", "--per-class", "2",
+                          "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert ("error: n=40 is too large for gen-data: its largest array would "
+            "take 35,184,372,088,832 bytes") in proc.stderr
     assert not out.exists()
 
 
