@@ -127,14 +127,14 @@ def check_array_bytes(n: int, model: str, rows: int) -> None:
     register size n, on splits of at most `rows` pairs, passes
     MAX_ARRAY_BYTES. Counted: the float barcode rows every model builds
     (rows x 2**n float64), dnn's first-layer weights (2**n x 128 float64)
-    and qnn_u's encoded states (rows x 4**n complex128, which its pruned
-    route builds too)."""
+    and pruned_blocks' (4**n, 2) complex128 test block, the one 4**n array
+    of a fully pruned qnn_u, which is every figure's qnn_u."""
     N = 2 ** n
     need = rows * N * 8
     if model == "dnn":
         need = max(need, N * DEFAULT_WIDTHS[0] * 8)
     elif model == "qnn_u":
-        need = max(need, rows * N * N * 16)
+        need = max(need, 32 * N * N)
     if need > MAX_ARRAY_BYTES:
         raise ConfigError(f"n={n} is too large for {model}: its largest "
                           f"array would take {need:,} bytes, over the "

@@ -26,13 +26,11 @@ A trailing block whose generator commutes with the readout O cannot move
 trailing run of such blocks (pruned_blocks, checked once per call at the
 run's register size) and simulates only the rest; the dropped angles get
 gradient exactly 0 and keep their initial values. The default `swap`
-readout commutes with every generator, so no block is simulated and
-training moves only the readout scale and offset (a, b). This is the limit
-of a unitary parametrization that the `fig3` comparison shows. With no
-live block, <O> of the train and test states is a constant of the call:
-train_qnn_u computes it once, and each epoch applies only the affine
-readout, its MSE and the (a, b) gradients (readout_loss, the arithmetic
-loss_and_gradient also uses), which gives the per-epoch route's bits.
+readout commutes with every generator, so training moves only the readout
+scale and offset (a, b), the limit of a unitary parametrization that `fig3`
+shows. With no live block, <O> is the readout's column of
+qnn_meas.extract_feature_matrix (qnn_m's closed form; no 4^n pair state is
+built), and each epoch applies only the affine readout (readout_loss).
 """
 
 from __future__ import annotations
@@ -44,6 +42,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .optim import accuracy, fit, lay_out
+from .qnn_meas import extract_feature_matrix
 from .statevec import (
     apply_observable,
     commutes,
@@ -219,13 +218,13 @@ def train_qnn_u(train_samples, pool: OperatorPool, spec: AnsatzSpec = None,
                 observable_name: str = "swap", epochs: int = DEFAULT_EPOCHS,
                 lr: float = DEFAULT_LR, seed: int = 0, test_samples=None,
                 record_every: int = 1) -> QnnUResult:
-    """Adam training of the variational model on encoded pairs (optim.fit)
+    """Adam training of the variational model on barcode pairs (optim.fit)
     over one flat vector (optim.lay_out) that the angles, a and b view.
 
     Records the pre-training baseline as epoch 0 and the state after every
     record_every-th epoch (the final epoch is always recorded). The trailing
     blocks that commute with the readout are never simulated; their angles
-    keep their initial values.
+    keep their initial values. With none left, no pair is encoded.
     """
     if spec is None:
         spec = AnsatzSpec()
@@ -236,11 +235,12 @@ def train_qnn_u(train_samples, pool: OperatorPool, spec: AnsatzSpec = None,
     params, grads, (thetas, a, b), (g_thetas, g_a, g_b) = lay_out(
         [init.thetas, init.a, init.b])
     live = QnnUParams(thetas, a, b)  # views that fit's Adam updates in place
-    states, y = encode_pairs(train_samples, pool.n)
-    if test_samples is not None:
-        test_states, y_test = encode_pairs(test_samples, pool.n)
-
+    y = train_samples.y
     if factors:
+        states = encode_pairs(train_samples, pool.n)[0]
+        if test_samples is not None:
+            test_states = encode_pairs(test_samples, pool.n)[0]
+
         def loss_and_grad():
             loss, g_thetas[:], g_a[...], g_b[...], preds = loss_and_gradient(
                 states, y, live, pool, spec, observable, factors=factors)
@@ -250,11 +250,11 @@ def train_qnn_u(train_samples, pool: OperatorPool, spec: AnsatzSpec = None,
             return model_eval(test_states, live, pool, spec, observable,
                               factors)
     else:
-        # no live block: <O> of the encoded states is a constant of the
-        # call, and the angle gradients stay the zeros lay_out gave
-        h = expectation_batch(states, observable.expr, pool.n)
+        # no live block: <O> is a constant of the call; angle gradients stay 0
+        column = pool.names().index(observable_name)
+        h = extract_feature_matrix(train_samples, pool)[:, column]
         if test_samples is not None:
-            h_test = expectation_batch(test_states, observable.expr, pool.n)
+            h_test = extract_feature_matrix(test_samples, pool)[:, column]
 
         def loss_and_grad():
             loss, g_a[...], g_b[...], preds, _ = readout_loss(h, y, a, b)
@@ -266,7 +266,7 @@ def train_qnn_u(train_samples, pool: OperatorPool, spec: AnsatzSpec = None,
     def test_acc():
         if test_samples is None:
             return float("nan")
-        return accuracy(test_preds(), y_test)
+        return accuracy(test_preds(), test_samples.y)
 
     records, _ = fit(params, grads, loss_and_grad, y, test_acc, epochs, lr,
                      record_every)

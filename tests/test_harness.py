@@ -210,12 +210,14 @@ def test_cli_run_exits_1_on_an_impossible_disjoint_test_split(tmp_path,
 
 def test_config_arrays_past_the_cap_are_rejected():
     """Each counted array can set the bound: the float barcode rows, dnn's
-    first-layer weights and qnn_u's encoded states."""
+    first-layer weights and the (4**n, 2) complex block that a fully
+    pruned qnn_u tests commutation on."""
     assert MAX_ARRAY_BYTES == 2 ** 30
-    make_config("fig3", n=9, models=("qnn_u",))  # 335,544,320 bytes
-    with pytest.raises(ConfigError, match=r"n=10 is too large for qnn_u: "
-                                          r".* 1,342,177,280 bytes"):
-        make_config("fig3", n=10, models=("qnn_m", "qnn_u"))
+    make_config("fig3", n=10, models=("qnn_u",))  # 33,554,432 bytes
+    make_config("fig3", n=12, models=("qnn_u",))  # 536,870,912 bytes
+    with pytest.raises(ConfigError, match=r"n=13 is too large for qnn_u: "
+                                          r".* 2,147,483,648 bytes"):
+        make_config("fig3", n=13, models=("qnn_m", "qnn_u"))
     small = dict(sweep_n=(21,), per_class_counts=(1,), test_per_class=1)
     make_config("fig5", models=("qnn_m",), **small)  # 33,554,432 bytes
     with pytest.raises(ConfigError, match=r"n=21 is too large for dnn: "
@@ -233,16 +235,18 @@ CHILD_ADDRESS_SPACE = 2 ** 31
 CAPPED_MAIN = ("import resource, sys\n"
                "resource.setrlimit(resource.RLIMIT_AS, ({0}, {0}))\n"
                "from artifact.cli import main\n"
-               "sys.exit(main(sys.argv[1:]))\n").format(CHILD_ADDRESS_SPACE)
+               "sys.exit(main(sys.argv[1:]))\n")
 
 
-def run_capped_cli(*argv):
+def run_capped_cli(cap, *argv):
+    """cli.main(argv) in a child whose address space is capped at `cap`
+    bytes; the cap applies to that child alone."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", CAPPED_MAIN, *argv],
-                          capture_output=True, text=True, env=env,
+    return subprocess.run([sys.executable, "-c", CAPPED_MAIN.format(cap),
+                           *argv], capture_output=True, text=True, env=env,
                           timeout=120)
 
 
@@ -254,8 +258,8 @@ def test_cli_run_exits_1_on_an_oversized_n_in_a_capped_child(tmp_path, n):
     out = tmp_path / "x.csv"
     cfg.write_text(json.dumps({"experiment": "fig3", "n": n, "trials": 1,
                                "models": ["qnn_m"]}))
-    proc = run_capped_cli("run", "--experiment", "fig3", "--config",
-                          str(cfg), "--out", str(out))
+    proc = run_capped_cli(CHILD_ADDRESS_SPACE, "run", "--experiment", "fig3",
+                          "--config", str(cfg), "--out", str(out))
     assert proc.returncode == 1, proc.stderr
     assert f"error: n={n} is too large for qnn_m" in proc.stderr
     assert "bytes, over the 1,073,741,824-byte cap" in proc.stderr
@@ -264,12 +268,26 @@ def test_cli_run_exits_1_on_an_oversized_n_in_a_capped_child(tmp_path, n):
 
 def test_cli_gen_data_exits_1_on_an_oversized_n_in_a_capped_child(tmp_path):
     out = tmp_path / "d.json"
-    proc = run_capped_cli("gen-data", "--n", "40", "--per-class", "2",
-                          "--out", str(out))
+    proc = run_capped_cli(CHILD_ADDRESS_SPACE, "gen-data", "--n", "40",
+                          "--per-class", "2", "--out", str(out))
     assert proc.returncode == 1, proc.stderr
     assert ("error: n=40 is too large for gen-data: its largest array would "
             "take 35,184,372,088,832 bytes") in proc.stderr
     assert not out.exists()
+
+
+def test_cli_fig3_qnn_u_at_n9_runs_in_a_768_mib_child(tmp_path):
+    """A fully pruned qnn_u reads <O> from the closed-form feature, so it
+    builds no (4**n, pairs) complex state: at n=9 the 80 test pairs' states
+    alone would take 335,544,320 bytes."""
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "x.csv"
+    cfg.write_text(json.dumps({"experiment": "fig3", "n": 9, "trials": 1,
+                               "epochs": 2, "models": ["qnn_u"]}))
+    proc = run_capped_cli(768 * 2 ** 20, "run", "--experiment", "fig3",
+                          "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert out.exists()
 
 
 # ---------------------------------------------------------------- CSV

@@ -357,8 +357,10 @@ def test_partly_pruned_training_matches_full_circuit(monkeypatch):
                          ids=["swap-n2", "swap-n3", "swap-n4", "sum_yy-n2"])
 def test_fully_pruned_training_matches_the_per_epoch_route(
         pool, name, with_test, epochs, record_every):
-    """With no live block, train_qnn_u computes <O> once per call; its
-    records, angles and readout must be the per-epoch route's bits."""
+    """With no live block, train_qnn_u reads <O> from the closed-form
+    feature once per call. At even n its records, angles and readout are
+    the simulated per-epoch route's bits. At odd n the two routes round
+    1/sqrt(N) apart, so losses, a and b agree to 1e-12 and some differ."""
     assert pruned_blocks(pool, AnsatzSpec(), pool.entry(name)) == 12
     ds = generate_dataset(n=pool.n, epsilon=None, count_per_class=4, seed=31)
     test = (generate_dataset(n=pool.n, epsilon=None, count_per_class=3,
@@ -367,14 +369,41 @@ def test_fully_pruned_training_matches_the_per_epoch_route(
                       test_samples=test, record_every=record_every)
     records, thetas, a, b = per_epoch_train_qnn_u(
         ds, pool, name, epochs, qnn_var.DEFAULT_LR, 4, test, record_every)
-    assert repr(got.records) == repr(records)  # repr: nan equals nan
     assert got.params.thetas.tobytes() == thetas.tobytes()
-    assert (got.params.a, got.params.b) == (a, b)
+    if pool.n % 2 == 0:
+        assert repr(got.records) == repr(records)  # repr: nan equals nan
+        assert (got.params.a, got.params.b) == (a, b)
+        return
+    assert len(got.records) == len(records)
+    values = [(got.params.a, a), (got.params.b, b)]
+    for r, o in zip(got.records, records):
+        assert repr((r.epoch, r.train_acc, r.test_acc)) == repr(
+            (o.epoch, o.train_acc, o.test_acc))
+        values.append((r.train_loss, o.train_loss))
+    for value, oracle in values:
+        assert value == pytest.approx(oracle, rel=1e-12, abs=0.0)
+    differing = sum(value != oracle for value, oracle in values)
+    # 6 of 23 values at 20 epochs recorded every epoch, 2 of 6 every 7th
+    assert (differing > 0) == (epochs > 0), differing
+
+
+def test_fully_pruned_training_encodes_no_pair(monkeypatch):
+    def no_encoding(*args):
+        raise AssertionError("a fully pruned training encoded a pair")
+
+    monkeypatch.setattr(qnn_var, "encode_pairs", no_encoding)
+    ds = generate_dataset(n=4, epsilon=None, count_per_class=4, seed=31)
+    test = generate_dataset(n=4, epsilon=None, count_per_class=3, seed=32)
+    result = train_qnn_u(ds, POOL4, epochs=3, seed=4, test_samples=test)
+    assert result.pruned_blocks == 12
+    assert len(result.records) == 4
 
 
 def count_observable_calls(monkeypatch, observable_name, epochs):
     """apply_observable calls, under qnn_var's name or statevec's (where
-    expectation_batch finds it), in one n = 3 training with a test split."""
+    commutes and expectation_batch find it), in one n = 3 training with a
+    test split. With `swap`, every call is pruned_blocks' commutation
+    test."""
     ds = generate_dataset(n=3, epsilon=None, count_per_class=4, seed=23)
     test = generate_dataset(n=3, epsilon=None, count_per_class=4, seed=24)
     calls = []
